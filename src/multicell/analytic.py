@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .model import DiscreteSessionLaw, NetworkSpec, RouteSpec
 
@@ -80,11 +79,6 @@ class StageMeans:
     w_prime: tuple[float, ...]   # invariant measure, sessions/second
     t_bar: tuple[float, ...]     # conditional mean holding time, seconds
     w: tuple[float, ...]         # expected occupancy (dimensionless)
-
-    @property
-    def rates(self) -> tuple[float, ...]:
-        """Equivalent memoryless service rates 1/t_bar."""
-        return tuple(1.0 / t for t in self.t_bar)
 
 
 def stage_means(route_spec: RouteSpec) -> StageMeans:
@@ -204,11 +198,6 @@ class ProductForm:
         return math.exp(self.logpmf(counts))
 
 
-def product_form_pmf(form: ProductForm, counts) -> float:
-    """Joint probability of one occupancy vector under the product form."""
-    return form.pmf(counts)
-
-
 def compose_poisson(means, partition) -> ProductForm:
     """Group coordinates of a product form; sums of disjoint groups stay
     independent Poisson with summed means.
@@ -249,10 +238,16 @@ def cell_product_form(spec: NetworkSpec) -> ProductForm:
 
 
 def poisson_truncation(mean: float, tail: float = 1e-8) -> int:
-    """Smallest K with Poisson(mean) CDF(K) >= 1 - tail."""
+    """Smallest K with Poisson(mean) CDF(K) >= 1 - tail.
+
+    The CDF sums exp(-m + y log m - lgamma(y + 1)) upward from y = 0, over a
+    range that reaches far past the 1 - tail quantile.
+    """
     if mean <= 0:
         return 0
-    return int(sps.poisson.ppf(1.0 - tail, mean))
+    ys = range(int(mean + 12.0 * math.sqrt(mean) + 40.0))
+    logpmf = np.array([-mean + y * math.log(mean) - math.lgamma(y + 1) for y in ys])
+    return int(np.searchsorted(np.cumsum(np.exp(logpmf)), 1.0 - tail))
 
 
 def truncated_support(form: ProductForm, tail: float = 1e-8):

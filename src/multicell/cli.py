@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``analyze``   -- closed-form per-stage and per-cell report for a config
-* ``simulate``  -- replicated discrete-event simulation, snapshots + summary
+* ``simulate``  -- replicated session-table simulation, snapshots + summary
 * ``compare``   -- empirical-vs-analytical metrics over random cell subsets
 * ``fixture``   -- deterministic synthetic polling trace with ground truth
 * ``trace``     -- full polling-log pipeline: sessions, parameters, validity
@@ -27,11 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytic, model, sim, stats, trace
-
-__version__ = "0.1.0"
-
-_WINDOW = None  # derived from PreprocessConfig where needed
+from . import __version__, analytic, model, sim, stats, trace
 
 
 def _digest(path) -> str:
@@ -164,13 +160,10 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def read_snapshots_csv(path) -> list[tuple[int, ...]]:
-    out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            out.append(tuple(int(v) for v in row[1:]))
-    return out
+        next(reader)   # the time,y1..yN header
+        return [tuple(int(v) for v in row[1:]) for row in reader]
 
 
 def cmd_compare(args) -> int:
@@ -195,20 +188,13 @@ def cmd_compare(args) -> int:
         sizes = list(range(1, min(5, spec.cell_count) + 1))
     rng = np.random.default_rng(args.seed)
     for n in sizes:
-        if n == 1:
-            # entropy gap needs two or more cells
-            study = stats.random_subset_study(emp, form, 1, args.repeats, rng,
-                                              coordinates=coords,
-                                              max_distance=args.distance_max)
-            rows.append((1, study.h_kl_mean, study.h_kl_std, "", "",
-                         study.h_real_mean, study.h_real_std))
-        else:
-            study = stats.random_subset_study(emp, form, n, args.repeats, rng,
-                                              coordinates=coords,
-                                              max_distance=args.distance_max)
-            rows.append((n, study.h_kl_mean, study.h_kl_std,
-                         study.h_gap_mean, study.h_gap_std,
-                         study.h_real_mean, study.h_real_std))
+        study = stats.random_subset_study(emp, form, n, args.repeats, rng,
+                                          coordinates=coords,
+                                          max_distance=args.distance_max)
+        # the entropy gap needs two or more cells
+        gap = (study.h_gap_mean, study.h_gap_std) if n > 1 else ("", "")
+        rows.append((n, study.h_kl_mean, study.h_kl_std, *gap,
+                     study.h_real_mean, study.h_real_std))
     with open(out / "subset_metrics.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "h_kl_mean", "h_kl_std", "h_gap_mean", "h_gap_std",
@@ -488,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     discretization(sp)
     sp.set_defaults(func=cmd_analyze)
 
-    sp = sub.add_parser("simulate", help="discrete-event simulation")
+    sp = sub.add_parser("simulate", help="session-table simulation")
     sp.add_argument("--config", required=True)
     common(sp)
     sp.add_argument("--horizon", type=float, required=True, help="seconds")

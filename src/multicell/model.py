@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,23 +153,27 @@ class Dist:
             return float(np.dot(p["weights"], p["values"]))
         raise ValueError(f"unknown distribution family {self.family!r}")
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """One draw as a float, or ``size`` draws as a float array."""
         p = self.as_dict()
         if self.family == "exponential":
-            return float(rng.exponential(p["mean"]))
-        if self.family == "deterministic":
-            return p["value"]
-        if self.family == "lognormal":
-            return float(rng.lognormal(p["mu"], p["sigma"]))
-        if self.family == "uniform":
-            return float(rng.uniform(p["low"], p["high"]))
-        if self.family == "hyperexponential":
-            i = rng.choice(len(p["weights"]), p=np.asarray(p["weights"]) / math.fsum(p["weights"]))
-            return float(rng.exponential(p["means"][i]))
-        if self.family == "discrete":
-            i = rng.choice(len(p["weights"]), p=np.asarray(p["weights"]) / math.fsum(p["weights"]))
-            return float(p["values"][i])
-        raise ValueError(f"unknown distribution family {self.family!r}")
+            x = rng.exponential(p["mean"], size)
+        elif self.family == "deterministic":
+            x = np.full(() if size is None else size, p["value"])
+        elif self.family == "lognormal":
+            x = rng.lognormal(p["mu"], p["sigma"], size)
+        elif self.family == "uniform":
+            x = rng.uniform(p["low"], p["high"], size)
+        elif self.family in ("hyperexponential", "discrete"):
+            i = rng.choice(len(p["weights"]), size,
+                           p=np.asarray(p["weights"]) / math.fsum(p["weights"]))
+            if self.family == "discrete":
+                x = np.asarray(p["values"])[i]
+            else:
+                x = rng.exponential(np.asarray(p["means"])[i])
+        else:
+            raise ValueError(f"unknown distribution family {self.family!r}")
+        return float(x) if size is None else np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -191,15 +194,24 @@ class GenerativeSessionLaw:
     def n_stages(self) -> int:
         return len(self.dwells)
 
-    def sample(self, rng: np.random.Generator) -> tuple[float, tuple[float, ...]]:
-        """Draw one (T, taus) pair; all values strictly positive."""
-        s = self.speed.sample(rng) if self.speed is not None else 1.0
-        if not s > 0:
-            raise ValueError(f"sampled non-positive speed multiplier {s!r}")
-        T = self.duration.sample(rng) * (s if self.speed_scales_duration else 1.0)
-        taus = tuple(s * d.sample(rng) for d in self.dwells)
-        if not T > 0 or any(not t > 0 for t in taus):
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """Draw (T, taus), all values strictly positive.
+
+        One pair comes back as ``(float, tuple)``; ``size`` pairs as a
+        ``(size,)`` duration array and a ``(size, N)`` dwell matrix. Draw
+        order: every speed, then every duration, then the dwells stage by
+        stage.
+        """
+        n = 1 if size is None else size
+        s = self.speed.sample(rng, n) if self.speed is not None else np.ones(n)
+        if not np.all(s > 0):
+            raise ValueError(f"sampled non-positive speed multiplier {float(s.min())!r}")
+        T = self.duration.sample(rng, n) * (s if self.speed_scales_duration else 1.0)
+        taus = np.column_stack([s * d.sample(rng, n) for d in self.dwells])
+        if not (np.all(T > 0) and np.all(taus > 0)):
             raise ValueError("sampled non-positive duration or dwell time")
+        if size is None:
+            return float(T[0]), tuple(taus[0].tolist())
         return T, taus
 
 
@@ -306,11 +318,56 @@ def holding_vector(T: float, taus) -> list[float]:
     return out
 
 
+def holding_matrix(T, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`holding_vector`: stage counts ``(n,)`` and holding
+    times ``(n, N)``, zero past each row's stage count.
+
+    Rows equal :func:`holding_vector` bit for bit: both accumulate the spent
+    dwell time with sequential adds and apply the same reach tolerance.
+    """
+    spent = np.cumsum(taus, axis=1)
+    remaining = T[:, None] - np.column_stack([np.zeros(len(T)), spent[:, :-1]])
+    # remaining only shrinks along a row, so the reached stages are a prefix
+    reached = remaining > _REACH_EPS * T[:, None]
+    reached[:, 0] = True
+    return reached.sum(axis=1), np.where(reached, np.minimum(remaining, taus), 0.0)
+
+
+def sample_sessions(law: SessionLaw, n: int, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n`` independent sessions: stage counts ``(n,)`` and holding
+    times ``(n, K)`` for a K-stage law, zero past each session's stage count.
+
+    A discrete law takes one categorical draw per session over all
+    (stage count, realization) pairs. A generative law draws ``n``
+    (T, taus) pairs with :meth:`GenerativeSessionLaw.sample` and clips them
+    with :func:`holding_matrix`.
+    """
+    if isinstance(law, DiscreteSessionLaw):
+        K = law.n_stages
+        total = math.fsum(law.stage_probs)
+        probs, stages, rows = [], [], []
+        for k, (pk, per_k) in enumerate(zip(law.stage_probs, law.realizations), start=1):
+            if pk <= 0:
+                continue
+            wsum = math.fsum(w for w, _ in per_k)
+            for w, vec in per_k:
+                probs.append(pk / total * w / wsum)
+                stages.append(k)
+                rows.append(vec + (0.0,) * (K - k))
+        probs = np.asarray(probs)
+        i = rng.choice(len(probs), size=n, p=probs / probs.sum())
+        return np.asarray(stages)[i], np.asarray(rows, dtype=float).reshape(-1, K)[i]
+    if isinstance(law, GenerativeSessionLaw):
+        return holding_matrix(*law.sample(rng, n))
+    raise TypeError(f"unsupported session law {type(law).__name__}")
+
+
 def discretize(law: GenerativeSessionLaw, samples: int, bin_width: float,
                rng_seed: int) -> DiscreteSessionLaw:
     """Monte-Carlo discretization of a generative law.
 
-    Draws ``samples`` sessions, computes each holding vector, rounds every
+    Draws ``samples`` sessions with :func:`sample_sessions`, rounds every
     holding time to the nearest multiple of ``bin_width`` (clamped to at
     least one bin so times stay positive), and aggregates identical binned
     vectors by relative frequency.
@@ -319,26 +376,18 @@ def discretize(law: GenerativeSessionLaw, samples: int, bin_width: float,
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not bin_width > 0:
         raise ValueError(f"bin_width must be > 0, got {bin_width!r}")
-    rng = np.random.default_rng(rng_seed)
-    n = law.n_stages
-    counts: list[Counter] = [Counter() for _ in range(n)]
-    for _ in range(samples):
-        T, taus = law.sample(rng)
-        holds = holding_vector(T, taus)
-        binned = tuple(max(1, round(t / bin_width)) for t in holds)
-        counts[len(binned) - 1][binned] += 1
+    stages, holds = sample_sessions(law, samples, np.random.default_rng(rng_seed))
+    binned = np.maximum(1.0, np.rint(holds / bin_width))
 
     stage_probs = []
     realizations = []
-    for k in range(1, n + 1):
-        ck = counts[k - 1]
-        k_total = sum(ck.values())
+    for k in range(1, law.n_stages + 1):
+        vecs, counts = np.unique(binned[stages == k, :k], axis=0, return_counts=True)
+        k_total = int(counts.sum())
         stage_probs.append(k_total / samples)
-        per_k = tuple(
-            (cnt / k_total, tuple(b * bin_width for b in vec))
-            for vec, cnt in sorted(ck.items())
-        ) if k_total else ()
-        realizations.append(per_k)
+        realizations.append(tuple(
+            (cnt / k_total, tuple((vec * bin_width).tolist()))
+            for vec, cnt in zip(vecs, counts.tolist())))
     return DiscreteSessionLaw(tuple(stage_probs), tuple(realizations))
 
 

@@ -1,27 +1,34 @@
-"""Discrete-event simulator for the multi-route network.
+"""Session-table simulator for the multi-route network.
 
-Per route, new sessions arrive as a Poisson process. Each arrival samples a
-session from the route's law, which fixes the number of stages and every
-per-stage holding time up front; the event queue then carries the resulting
-stage entry/exit count changes plus the snapshot clock. The queue is ordered
-by (time, insertion sequence) so simultaneous events (common with
-deterministic laws) resolve deterministically.
+Users never interact in an infinite-server network, so one replication is a
+table of independent sessions and cell occupancy is interval counting. Per
+route, in config order, the table holds a Poisson(rate * horizon) number of
+sessions with sorted uniform arrival times on [0, horizon], followed by
+their stage counts and holding times from :func:`model.sample_sessions`.
+Stage j of a session holds its cell on [entry, exit), where the first entry
+is the arrival time and every exit is the entry plus the holding time; the
+occupancy of a cell at time t counts the stage visits with
+entry <= t < exit.
 
 RNG: numpy's counter-based Philox generator. Replication r of a run with
 seed s uses ``Philox(SeedSequence((s, r)))``; streams for different r are
 independent and any (s, r) pair reproduces bit-identically across runs.
+Within a replication the draws go route by route in config order: the
+session count, the arrival times, then the sessions in the order
+:func:`model.sample_sessions` documents.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (DiscreteSessionLaw, GenerativeSessionLaw, NetworkSpec,
-                    SessionLaw, holding_vector)
+from .model import DiscreteSessionLaw, NetworkSpec, SessionLaw, sample_sessions
+
+#: Safety cap on the stage visits of one replication; each visit costs a
+#: few array entries, so the cap bounds memory.
+STAGE_VISIT_CAP = 25_000_000
 
 
 @dataclass(frozen=True)
@@ -31,8 +38,6 @@ class SimConfig:
     snapshot_interval: float | None = None
     seed: int = 0
     replications: int = 1
-    track_stages: bool = False
-    max_events: int = 50_000_000
 
     def __post_init__(self):
         if self.warmup is not None and self.warmup >= self.horizon:
@@ -47,12 +52,11 @@ class SimConfig:
 class OccupancySnapshot:
     time: float
     cell_counts: tuple[int, ...]
-    stage_counts: dict[tuple[int, int], int] | None = None
 
 
 @dataclass(frozen=True)
 class SessionEvent:
-    """One completed session in the event log."""
+    """One session of the event log."""
 
     session_id: int
     route: int                      # 1-based route index
@@ -64,11 +68,16 @@ class SessionEvent:
         return len(self.holding_times)
 
 
-@dataclass
-class ReplicationSummary:
-    replication: int
-    snapshots: int
-    cell_mean: tuple[float, ...]
+@dataclass(frozen=True, eq=False)
+class SessionTable:
+    """The sessions of one replication, grouped by route in config order and
+    sorted by arrival time within each route. ``holds`` has one column per
+    stage of the longest route and is zero past each session's stage count."""
+
+    route: np.ndarray       # (n,) 1-based route index
+    arrival: np.ndarray     # (n,) seconds
+    stages: np.ndarray      # (n,) stage count
+    holds: np.ndarray       # (n, K) seconds
 
 
 def rng_for_replication(seed: int, replication: int) -> np.random.Generator:
@@ -78,18 +87,32 @@ def rng_for_replication(seed: int, replication: int) -> np.random.Generator:
 
 def sample_session(law: SessionLaw, rng: np.random.Generator) -> tuple[int, tuple[float, ...]]:
     """Draw one session: (stage count, per-stage holding times)."""
-    if isinstance(law, DiscreteSessionLaw):
-        k = int(rng.choice(law.n_stages, p=np.asarray(law.stage_probs) /
-                           sum(law.stage_probs))) + 1
-        per_k = law.realizations[k - 1]
-        weights = np.array([w for w, _ in per_k])
-        i = int(rng.choice(len(per_k), p=weights / weights.sum()))
-        return k, per_k[i][1]
-    if isinstance(law, GenerativeSessionLaw):
-        T, taus = law.sample(rng)
-        holds = holding_vector(T, taus)
-        return len(holds), tuple(holds)
-    raise TypeError(f"unsupported session law {type(law).__name__}")
+    stages, holds = sample_sessions(law, 1, rng)
+    k = int(stages[0])
+    return k, tuple(holds[0, :k].tolist())
+
+
+def _check_cap(visits: int) -> None:
+    if visits > STAGE_VISIT_CAP:
+        raise RuntimeError(f"event count exceeded safety cap: more than "
+                           f"STAGE_VISIT_CAP={STAGE_VISIT_CAP} stage visits")
+
+
+def session_table(spec: NetworkSpec, horizon: float, rng: np.random.Generator) -> SessionTable:
+    """Every session arriving on [0, horizon], route by route."""
+    K = max(rs.route.n_stages for rs in spec.routes)
+    blocks = []
+    visits = 0
+    for l, rs in enumerate(spec.routes, start=1):
+        n = int(rng.poisson(rs.arrival_rate * horizon))
+        _check_cap(visits + n)     # every session visits at least one stage
+        arrival = np.sort(rng.uniform(0.0, horizon, n))
+        stages, holds = sample_sessions(rs.law, n, rng)
+        visits += int(stages.sum())
+        _check_cap(visits)
+        blocks.append((np.full(n, l), arrival, stages,
+                       np.pad(holds, ((0, 0), (0, K - holds.shape[1])))))
+    return SessionTable(*(np.concatenate(column) for column in zip(*blocks)))
 
 
 def mean_session_duration(law: SessionLaw) -> float:
@@ -136,99 +159,42 @@ def _resolved(spec: NetworkSpec, cfg: SimConfig) -> SimConfig:
     return cfg
 
 
-def run(spec: NetworkSpec, cfg: SimConfig, *, replication: int = 0,
-        collect_log: bool = False) -> list[OccupancySnapshot] | tuple[list[OccupancySnapshot], list[SessionEvent]]:
+def run(spec: NetworkSpec, cfg: SimConfig, *, replication: int = 0) -> list[OccupancySnapshot]:
     """Simulate one replication and return its occupancy snapshots.
 
     Snapshots are taken at warmup + i * snapshot_interval for every i with
-    that time <= horizon. Arrivals during warmup are simulated normally so
-    the first snapshot already sees in-flight sessions.
+    that time <= horizon. Sessions arriving during warmup are in the table
+    too, so the first snapshot already sees in-flight sessions.
     """
     cfg = _resolved(spec, cfg)
-    rng = rng_for_replication(cfg.seed, replication)
-    C = spec.cell_count
+    table = session_table(spec, cfg.horizon, rng_for_replication(cfg.seed, replication))
+    times = cfg.warmup + cfg.snapshot_interval * np.arange(
+        int((cfg.horizon - cfg.warmup) // cfg.snapshot_interval) + 2)
+    times = times[times <= cfg.horizon]
 
-    seq = itertools.count()
-    heap: list[tuple[float, int, int, int, tuple[int, int]]] = []
-    # event payload: (time, seq, kind, delta, (route, stage))
-    # kind 0 = count change, 1 = route arrival, 2 = snapshot
-    _NONE = (0, 0)
-
-    for l, rs in enumerate(spec.routes, start=1):
-        t0 = rng.exponential(1.0 / rs.arrival_rate)
-        heapq.heappush(heap, (t0, next(seq), 1, 0, (l, 0)))
-
-    snap_t = cfg.warmup
-    while snap_t <= cfg.horizon:
-        heapq.heappush(heap, (snap_t, next(seq), 2, 0, _NONE))
-        snap_t += cfg.snapshot_interval
-
-    cell_counts = [0] * C
-    stage_counts: dict[tuple[int, int], int] = {}
-    snapshots: list[OccupancySnapshot] = []
-    log: list[SessionEvent] = []
-    session_ids = itertools.count()
-    processed = 0
-
-    while heap:
-        time, _, kind, delta, key = heapq.heappop(heap)
-        processed += 1
-        if processed > cfg.max_events:
-            raise RuntimeError(f"event count exceeded safety cap max_events={cfg.max_events}")
-        if kind == 2:
-            snapshots.append(OccupancySnapshot(
-                time, tuple(cell_counts),
-                dict(stage_counts) if cfg.track_stages else None))
-        elif kind == 1:
-            l = key[0]
-            rs = spec.routes[l - 1]
-            nxt = time + rng.exponential(1.0 / rs.arrival_rate)
-            if nxt <= cfg.horizon:
-                heapq.heappush(heap, (nxt, next(seq), 1, 0, (l, 0)))
-            k, holds = sample_session(rs.law, rng)
-            if collect_log:
-                log.append(SessionEvent(next(session_ids), l, time, holds))
-            t = time
-            for j, h in enumerate(holds, start=1):
-                heapq.heappush(heap, (t, next(seq), 0, +1, (l, j)))
-                t += h
-                heapq.heappush(heap, (t, next(seq), 0, -1, (l, j)))
-        else:
-            l, j = key
-            n = spec.routes[l - 1].route.cells[j - 1]
-            cell_counts[n - 1] += delta
-            if cfg.track_stages:
-                stage_counts[key] = stage_counts.get(key, 0) + delta
-                if stage_counts[key] == 0:
-                    del stage_counts[key]
-    if collect_log:
-        return snapshots, log
-    return snapshots
-
-
-def run_replications(spec: NetworkSpec, cfg: SimConfig
-                     ) -> tuple[list[OccupancySnapshot], list[ReplicationSummary]]:
-    """Run cfg.replications independent streams and pool the snapshots.
-
-    Pooled output lists replication 0's snapshots first, then 1's, and so
-    on, so the order is deterministic.
-    """
-    pooled: list[OccupancySnapshot] = []
-    summaries: list[ReplicationSummary] = []
-    for r in range(cfg.replications):
-        snaps = run(spec, cfg, replication=r)
-        pooled.extend(snaps)
-        counts = np.array([s.cell_counts for s in snaps], dtype=float)
-        summaries.append(ReplicationSummary(
-            r, len(snaps), tuple(counts.mean(axis=0)) if len(snaps) else ()))
-    return pooled, summaries
+    K = table.holds.shape[1]
+    bounds = np.cumsum(np.column_stack([table.arrival, table.holds]), axis=1)
+    visited = np.arange(K) < table.stages[:, None]
+    cell_of = np.array([rs.route.cells + (0,) * (K - rs.route.n_stages) for rs in spec.routes])
+    cells = cell_of[table.route - 1][visited]
+    entries, exits = bounds[:, :-1][visited], bounds[:, 1:][visited]
+    counts = np.zeros((len(times), spec.cell_count), dtype=np.int64)
+    for c in range(spec.cell_count):
+        here = cells == c + 1
+        counts[:, c] = (np.searchsorted(np.sort(entries[here]), times, side="right")
+                        - np.searchsorted(np.sort(exits[here]), times, side="right"))
+    return [OccupancySnapshot(t, tuple(row)) for t, row in zip(times.tolist(), counts.tolist())]
 
 
 def emit_event_log(spec: NetworkSpec, cfg: SimConfig, *, replication: int = 0
                    ) -> list[SessionEvent]:
-    """Full session-level record of one replication (no snapshots needed)."""
-    _, log = run(spec, cfg, replication=replication, collect_log=True)
-    return log
+    """The session table of one replication in arrival order; session ids
+    count up from 0 in that order."""
+    table = session_table(spec, cfg.horizon, rng_for_replication(cfg.seed, replication))
+    order = np.argsort(table.arrival, kind="stable")
+    rows = zip(*(col[order].tolist() for col in (table.route, table.arrival,
+                                                   table.stages, table.holds)))
+    return [SessionEvent(i, l, t, tuple(h[:k])) for i, (l, t, k, h) in enumerate(rows)]
 
 
 def write_snapshots_csv(snapshots, path) -> None:
@@ -239,13 +205,3 @@ def write_snapshots_csv(snapshots, path) -> None:
         w.writerow(["time"] + [f"y{n}" for n in range(1, C + 1)])
         for s in snapshots:
             w.writerow([repr(s.time)] + list(s.cell_counts))
-
-
-def write_event_log_csv(log, path) -> None:
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["session_id", "route", "arrival_time", "stages", "holding_times"])
-        for ev in log:
-            w.writerow([ev.session_id, ev.route, repr(ev.arrival_time),
-                        ev.stage_count, " ".join(repr(h) for h in ev.holding_times)])

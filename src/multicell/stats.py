@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,23 +54,32 @@ class EmpiricalDistribution:
         for vec, c in self.counts:
             yield vec, c / self.sample_count
 
-    def probability(self, vec) -> float:
-        vec = tuple(int(x) for x in vec)
-        for v, c in self.counts:
-            if v == vec:
-                return c / self.sample_count
-        return 0.0
-
     def project(self, coord_subset) -> "EmpiricalDistribution":
         """Marginal over the given 1-based coordinate indices, in order."""
         idx = [i - 1 for i in coord_subset]
         for i in idx:
             if not 0 <= i < self.dimension:
                 raise ValueError(f"coordinate {i + 1} outside 1..{self.dimension}")
-        counter: Counter = Counter()
-        for vec, c in self.counts:
-            counter[tuple(vec[i] for i in idx)] += c
-        return EmpiricalDistribution.from_counter(counter, len(idx))
+        rows, weights = self._columns
+        cols = rows[:, idx]
+        low = cols.min(axis=0)
+        dims = tuple((cols.max(axis=0) - low + 1).tolist())
+        if math.prod(dims) < 2 ** 62:
+            # one integer key per row, in the rows' lexicographic order
+            keys, inverse = np.unique(np.ravel_multi_index((cols - low).T, dims),
+                                      return_inverse=True)
+            vecs = np.column_stack(np.unravel_index(keys, dims)) + low
+        else:
+            vecs, inverse = np.unique(cols, axis=0, return_inverse=True)
+        mass = np.bincount(inverse.ravel(), weights=weights).astype(np.int64)
+        return EmpiricalDistribution(tuple(zip(map(tuple, vecs.tolist()), mass.tolist())),
+                                     self.sample_count, len(idx))
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support as an (U, d) int array and the counts as (U,) floats."""
+        vecs, counts = zip(*self.counts)
+        return np.array(vecs, dtype=np.int64).reshape(-1, self.dimension), np.array(counts, float)
 
 
 def empirical_joint(snapshots, cell_subset=None) -> EmpiricalDistribution:

@@ -175,32 +175,51 @@ class TestCellMeans:
 class TestProductFormPmf:
     def test_poisson_pmf_oracle(self):
         form = analytic.ProductForm((6.0,))
-        assert analytic.product_form_pmf(form, (6,)) == pytest.approx(
+        assert form.pmf((6,)) == pytest.approx(
             sps.poisson.pmf(6, 6.0), rel=1e-12)
 
     def test_product_of_pmfs_at_zero(self):
         form = analytic.ProductForm((2.0, 3.0))
-        assert analytic.product_form_pmf(form, (0, 0)) == pytest.approx(math.exp(-5.0))
+        assert form.pmf((0, 0)) == pytest.approx(math.exp(-5.0))
 
     def test_zero_mean_cell(self):
         form = analytic.ProductForm((0.0, 4.0))
-        assert analytic.product_form_pmf(form, (1, 4)) == 0.0
-        assert analytic.product_form_pmf(form, (0, 4)) == pytest.approx(
+        assert form.pmf((1, 4)) == 0.0
+        assert form.pmf((0, 4)) == pytest.approx(
             sps.poisson.pmf(4, 4.0), rel=1e-12)
 
     def test_large_counts_no_overflow(self):
         form = analytic.ProductForm((200.0,))
-        assert analytic.product_form_pmf(form, (500,)) == pytest.approx(
+        assert form.pmf((500,)) == pytest.approx(
             sps.poisson.pmf(500, 200.0), rel=1e-9)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            analytic.product_form_pmf(analytic.ProductForm((1.0,)), (-1,))
+            analytic.ProductForm((1.0,)).pmf((-1,))
 
     def test_mass_sums_to_one_over_truncated_support(self):
         form = analytic.ProductForm((2.5, 0.7))
         total = math.fsum(form.pmf(v) for v in analytic.truncated_support(form))
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+class TestPoissonTruncation:
+    @pytest.mark.parametrize("mean", [1e-4, 0.3, 1.0, 6.0, 47.5, 400.0, 5000.0])
+    def test_smallest_cap_covering_the_mass(self, mean):
+        cap = analytic.poisson_truncation(mean)
+        assert sps.poisson.cdf(cap, mean) >= 1.0 - 1e-8
+        assert cap == 0 or sps.poisson.cdf(cap - 1, mean) < 1.0 - 1e-8
+
+    def test_agrees_with_scipy_ppf_on_a_grid(self):
+        for mean in np.logspace(-4, math.log10(5000.0), 300):
+            assert analytic.poisson_truncation(mean) == int(
+                sps.poisson.ppf(1.0 - 1e-8, mean)), mean
+        for mean in (0.5, 3.0, 80.0):
+            assert analytic.poisson_truncation(mean, tail=1e-3) == int(
+                sps.poisson.ppf(1.0 - 1e-3, mean))
+
+    def test_zero_mean(self):
+        assert analytic.poisson_truncation(0.0) == 0
 
 
 class TestComposePoisson:

@@ -1,10 +1,14 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from multicell import cli, model
 from conftest import single_cell_spec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, spec, name="net.json"):
@@ -17,6 +21,20 @@ def two_cell_spec():
     law = model.DiscreteSessionLaw(
         (0.5, 0.5), (((1.0, (2.0,)),), ((1.0, (3.0, 4.0)),)))
     return model.NetworkSpec(2, (model.RouteSpec(model.Route((1, 2)), 1.5, law),))
+
+
+class TestReadmeConfig:
+    def test_documented_example_loads_and_validates(self, tmp_path):
+        section = README.read_text().split("### Network config schema (JSON)")[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        spec = model.spec_from_dict(json.loads(block))
+        assert model.validate(spec) == []
+        assert spec.cell_count == 3 and spec.coordinates() is not None
+        path = tmp_path / "net.json"
+        path.write_text(block)
+        rc = cli.main(["analyze", "--config", str(path), "--out", str(tmp_path / "o"),
+                       "--discretize-samples", "2000"])
+        assert rc == 0
 
 
 class TestAnalyze:

@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multicell import model
@@ -85,6 +86,74 @@ class TestStageHoldingTime:
                 min(T, math.fsum(taus[:prefix])), rel=1e-9)
 
 
+def assert_rows_equal_holding_vector(T, taus):
+    stages, holds = model.holding_matrix(T, taus)
+    for i in range(len(T)):
+        vec = model.holding_vector(float(T[i]), list(taus[i]))
+        assert stages[i] == len(vec)
+        assert holds[i, :stages[i]].tolist() == vec    # bit for bit
+        assert not holds[i, stages[i]:].any()
+
+
+class TestHoldingMatrix:
+    @given(rows=st.lists(st.tuples(st.floats(1e-3, 1e4),
+                                   st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4)),
+                         min_size=1, max_size=30))
+    @settings(max_examples=200)
+    def test_rows_equal_holding_vector(self, rows):
+        T = np.array([t for t, _ in rows])
+        taus = np.array([tau for _, tau in rows])
+        assert_rows_equal_holding_vector(T, taus)
+
+    @given(dwell=st.floats(1e-2, 1e4), speed=st.floats(1e-2, 1e2),
+           k=st.integers(1, 5), n=st.integers(1, 5))
+    @settings(max_examples=300)
+    @example(dwell=0.1, speed=0.7, k=3, n=5)   # float error leaves 3 dwells short of T
+    def test_exact_multiple_durations(self, dwell, speed, k, n):
+        # duration = k dwells, speed-scaled like the dwells
+        T = np.array([dwell * k * speed])
+        taus = np.array([[speed * dwell] * n])
+        assert_rows_equal_holding_vector(T, taus)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_speed_scaled_law_samples(self, seed):
+        law = model.GenerativeSessionLaw(
+            duration=model.Dist.make("discrete", values=[600.0, 1200.0, 1800.0],
+                                     weights=[0.3, 0.3, 0.4]),
+            dwells=tuple(model.Dist.make("deterministic", value=600.0) for _ in range(3)),
+            speed=model.Dist.make("uniform", low=0.3, high=3.0),
+            speed_scales_duration=True,
+        )
+        T, taus = law.sample(np.random.default_rng(seed), 50)
+        assert_rows_equal_holding_vector(T, taus)
+
+
+class TestSampleSessions:
+    def test_discrete_law_shapes_and_support(self, rng):
+        law = model.DiscreteSessionLaw(
+            (0.25, 0.75), (((1.0, (3.0,)),), ((0.5, (1.0, 2.0)), (0.5, (4.0, 5.0)))))
+        stages, holds = model.sample_sessions(law, 40_000, rng)
+        assert stages.shape == (40_000,) and holds.shape == (40_000, 2)
+        rows = {(int(k), tuple(h)) for k, h in zip(stages, holds.tolist())}
+        assert rows == {(1, (3.0, 0.0)), (2, (1.0, 2.0)), (2, (4.0, 5.0))}
+        sigma = math.sqrt(0.25 * 0.75 / 40_000)
+        assert np.mean(stages == 1) == pytest.approx(0.25, abs=4 * sigma)
+
+    def test_generative_law_matches_holding_vector(self, rng):
+        law = model.GenerativeSessionLaw(
+            duration=model.Dist.make("deterministic", value=25.0),
+            dwells=tuple(model.Dist.make("deterministic", value=10.0) for _ in range(3)),
+        )
+        stages, holds = model.sample_sessions(law, 3, rng)
+        assert stages.tolist() == [3, 3, 3]
+        assert holds.tolist() == [[10.0, 10.0, 5.0]] * 3
+
+    def test_empty_draw(self, rng):
+        stages, holds = model.sample_sessions(random_discrete_law(rng), 0, rng)
+        assert stages.shape == (0,) and holds.shape[0] == 0
+
+
 class TestDiscretize:
     def test_deterministic_single_stage(self):
         law = model.GenerativeSessionLaw(
@@ -125,6 +194,26 @@ class TestDiscretize:
         d = model.discretize(law, samples=5000, bin_width=0.25, rng_seed=1)
         assert math.fsum(d.stage_probs) == 1.0
         assert d.violations() == []
+
+    def test_equals_loop_binning_of_the_same_sessions(self):
+        # reference: round each hold to bins one session at a time, clamp to
+        # one bin, and count identical vectors per stage count
+        law = model.GenerativeSessionLaw(
+            duration=model.Dist.make("exponential", mean=3.0),
+            dwells=tuple(model.Dist.make("uniform", low=0.5, high=4.0) for _ in range(3)),
+            speed=model.Dist.make("uniform", low=0.5, high=1.5),
+        )
+        n, width = 3000, 0.5
+        d = model.discretize(law, samples=n, bin_width=width, rng_seed=4)
+        stages, holds = model.sample_sessions(law, n, np.random.default_rng(4))
+        counts = [Counter() for _ in range(3)]
+        for k, row in zip(stages.tolist(), holds.tolist()):
+            counts[k - 1][tuple(max(1, round(t / width)) for t in row[:k])] += 1
+        expected = model.DiscreteSessionLaw(
+            tuple(sum(c.values()) / n for c in counts),
+            tuple(tuple((m / sum(c.values()), tuple(b * width for b in vec))
+                        for vec, m in sorted(c.items())) for c in counts))
+        assert d == expected
 
     def test_binned_zero_clamped_to_one_bin(self):
         law = model.GenerativeSessionLaw(
@@ -169,6 +258,7 @@ class TestDistFamilies:
         assert dist.mean() == pytest.approx(expected)
         xs = [dist.sample(rng) for _ in range(20_000)]
         assert np.mean(xs) == pytest.approx(expected, rel=0.05)
+        assert dist.sample(rng, 20_000).mean() == pytest.approx(expected, rel=0.05)
 
     def test_shared_speed_couples_dwells(self, rng):
         law = model.GenerativeSessionLaw(

@@ -91,28 +91,36 @@ class TestRun:
         sim.write_snapshots_csv(sim.run(spec, cfg), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_stage_counts_aggregate_to_cell_counts(self):
-        spec = model.NetworkSpec(2, (
-            exp_exp_route([1, 2], rate=0.5, duration_mean=6.0, dwell_mean=4.0),
-            exp_exp_route([2, 1], rate=0.3, duration_mean=5.0, dwell_mean=3.0),
-        ))
-        cfg = sim.SimConfig(horizon=2000.0, warmup=50.0, snapshot_interval=7.0,
-                            seed=3, track_stages=True)
-        snaps = sim.run(spec, cfg)
-        assert len(snaps) > 100
-        for s in snaps:
-            agg = [0, 0]
-            for (l, j), x in s.stage_counts.items():
-                cell = spec.routes[l - 1].route.cells[j - 1]
-                agg[cell - 1] += x
-            assert tuple(agg) == s.cell_counts
-
-    def test_event_cap_enforced(self):
+    def test_event_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(sim, "STAGE_VISIT_CAP", 100)
         spec = single_cell_spec(rate=10.0, hold=2.0)
-        cfg = sim.SimConfig(horizon=1e4, warmup=1.0, snapshot_interval=10.0,
-                            seed=0, max_events=100)
-        with pytest.raises(RuntimeError, match="max_events"):
+        cfg = sim.SimConfig(horizon=1e4, warmup=1.0, snapshot_interval=10.0, seed=0)
+        with pytest.raises(RuntimeError, match="safety cap"):
             sim.run(spec, cfg)
+
+    def test_counts_equal_brute_force_over_session_table(self):
+        # oracle: a session occupies the cell of stage j on [entry, exit)
+        spec = model.NetworkSpec(3, (
+            exp_exp_route([1, 2, 3], rate=0.3, duration_mean=6.0, dwell_mean=4.0),
+            model.RouteSpec(model.Route((3, 1)), 0.2, model.DiscreteSessionLaw(
+                (0.5, 0.5), (((1.0, (2.5,)),), ((0.3, (1.0, 4.0)), (0.7, (3.0, 2.0)))))),
+        ))
+        cfg = sim.SimConfig(horizon=1500.0, warmup=20.0, snapshot_interval=2.5,
+                            seed=8, replications=2)
+        for r in range(cfg.replications):
+            table = sim.session_table(spec, cfg.horizon, sim.rng_for_replication(cfg.seed, r))
+            snaps = sim.run(spec, cfg, replication=r)
+            assert len(table.arrival) > 500
+            for s in snaps:
+                brute = [0, 0, 0]
+                for l, t, k, holds in zip(table.route, table.arrival, table.stages,
+                                          table.holds):
+                    for j in range(k):
+                        exit_ = t + holds[j]
+                        if t <= s.time < exit_:
+                            brute[spec.routes[l - 1].route.cells[j] - 1] += 1
+                        t = exit_
+                assert s.cell_counts == tuple(brute), s.time
 
     def test_default_timing_from_spec(self):
         spec = single_cell_spec(rate=1.0, hold=3.0)
@@ -122,14 +130,20 @@ class TestRun:
         assert snaps[1].time - snaps[0].time == pytest.approx(15.0)
 
 
+def replicate(spec, cfg):
+    """Per-replication snapshot lists and their pool, as ``simulate`` builds them."""
+    reps = [sim.run(spec, cfg, replication=r) for r in range(cfg.replications)]
+    return reps, [s for snaps in reps for s in snaps]
+
+
 class TestReplications:
     def test_single_replication_equals_run(self):
         spec = single_cell_spec(rate=1.0, hold=2.0)
         cfg = sim.SimConfig(horizon=500.0, warmup=10.0, snapshot_interval=5.0,
                             seed=7, replications=1)
-        pooled, summaries = sim.run_replications(spec, cfg)
+        reps, pooled = replicate(spec, cfg)
         assert pooled == sim.run(spec, cfg)
-        assert len(summaries) == 1
+        assert len(reps) == 1
 
     def test_four_replications_pool(self):
         spec = single_cell_spec(rate=1.0, hold=2.0)
@@ -137,8 +151,8 @@ class TestReplications:
                              seed=7, replications=1)
         cfg4 = sim.SimConfig(horizon=500.0, warmup=10.0, snapshot_interval=5.0,
                              seed=7, replications=4)
-        pooled, summaries = sim.run_replications(spec, cfg4)
-        single, _ = sim.run_replications(spec, cfg1)
+        _, pooled = replicate(spec, cfg4)
+        _, single = replicate(spec, cfg1)
         assert len(pooled) == 4 * len(single)
         assert pooled[: len(single)] == single   # replication 0 shares its stream
         # streams must differ
@@ -148,10 +162,11 @@ class TestReplications:
         spec = single_cell_spec(rate=2.0, hold=3.0)   # m = 6
         cfg = sim.SimConfig(horizon=30_000.0, warmup=100.0, snapshot_interval=15.0,
                             seed=11, replications=4)
-        _, summaries = sim.run_replications(spec, cfg)
-        for s in summaries:
-            n_eff = s.snapshots  # interval 5x hold: snapshots near-independent
-            assert s.cell_mean[0] == pytest.approx(6.0, abs=4 * math.sqrt(6.0 / n_eff))
+        reps, _ = replicate(spec, cfg)
+        for snaps in reps:
+            n_eff = len(snaps)  # interval 5x hold: snapshots near-independent
+            mean = np.mean([s.cell_counts[0] for s in snaps])
+            assert mean == pytest.approx(6.0, abs=4 * math.sqrt(6.0 / n_eff))
 
 
 class TestEventLog:
@@ -182,6 +197,20 @@ class TestEventLog:
         times = [ev.arrival_time for ev in log]
         assert times == sorted(times)
         assert len({ev.session_id for ev in log}) == len(log)
+
+    def test_log_is_the_session_table_in_arrival_order(self):
+        spec = model.NetworkSpec(2, (
+            exp_exp_route([1, 2], rate=0.05, duration_mean=30.0, dwell_mean=20.0),
+            single_cell_spec(rate=0.08, hold=7.0).routes[0],
+        ))
+        cfg = sim.SimConfig(horizon=3000.0, warmup=0.0, snapshot_interval=3e3, seed=3)
+        log = sim.emit_event_log(spec, cfg, replication=2)
+        table = sim.session_table(spec, cfg.horizon, sim.rng_for_replication(3, 2))
+        rows = sorted(zip(table.arrival.tolist(), table.route.tolist(),
+                          table.stages.tolist(), table.holds.tolist()))
+        assert [(ev.arrival_time, ev.route, ev.holding_times) for ev in log] == [
+            (t, l, tuple(h[:k])) for t, l, k, h in rows]
+        assert all(0.0 <= ev.arrival_time <= cfg.horizon for ev in log)
 
 
 class TestEmpiricalMatchesAnalytic:

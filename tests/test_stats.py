@@ -22,6 +22,20 @@ class TestEmpiricalJoint:
         projected = stats.empirical_joint(snaps).project([2])
         assert direct == projected
 
+    @pytest.mark.parametrize("subset", [[3, 1], [2, 3, 1], [1, 2, 3]])
+    def test_projection_matches_counting_oracle(self, rng, subset):
+        snaps = [tuple(int(v) for v in rng.integers(-2, 5, size=3)) for _ in range(2000)]
+        # with cells 1 and 2 both spanning 2**40 values, integer keys would
+        # overflow and the projection falls back to sorting rows
+        snaps.append((2**40, 2**40, 1))
+        oracle = {}
+        for v in snaps:
+            key = tuple(v[i - 1] for i in subset)
+            oracle[key] = oracle.get(key, 0) + 1
+        projected = stats.empirical_joint(snaps).project(subset)
+        assert projected.counts == tuple(sorted(oracle.items()))
+        assert projected.dimension == len(subset)
+
     def test_sampled_poisson_close_to_model(self, rng):
         emp = stats.empirical_joint(poisson_samples(rng, 3.0, 100_000))
         kl = stats.kl_divergence(emp, analytic.ProductForm((3.0,)))
