@@ -371,21 +371,34 @@ def cmd_fixture(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trace(args) -> int:
+    if not Path(args.polls).is_file():
+        raise ValidationError(f"poll file not found: {args.polls}")
     out = Path(args.out)
     write_manifest(out, "trace", vars(args), [args.polls])
-    records, rejects = trace.parse_polls(args.polls)
-    if not records:
-        raise ValidationError(f"no usable poll records in {args.polls}")
-    pcfg = trace.PreprocessConfig(
-        departure_threshold=args.departure_threshold,
-        pingpong_return=args.pingpong_return,
-        closed_user_hours=args.closed_user_hours,
-        poll_cadence=args.cadence,
-    )
-    result = trace.run_pipeline(records, pcfg, rejects=rejects,
-                                interval=args.test_interval,
-                                eta_threshold=args.threshold_eta,
-                                theta_threshold=args.threshold_theta)
+    try:
+        pcfg = trace.PreprocessConfig(
+            departure_threshold=args.departure_threshold,
+            pingpong_return=args.pingpong_return,
+            closed_user_hours=args.closed_user_hours,
+            poll_cadence=args.cadence,
+        )
+    except ValueError as exc:
+        raise ValidationError(f"invalid trace settings: {exc}") from exc
+    try:
+        records, rejects = trace.parse_polls(args.polls)
+        if not records:
+            raise ValidationError(f"no usable poll records in {args.polls}")
+        result = trace.run_pipeline(records, pcfg, rejects=rejects,
+                                    interval=args.test_interval,
+                                    eta_threshold=args.threshold_eta,
+                                    theta_threshold=args.threshold_theta)
+    except trace.TraceInputError as exc:
+        raise ValidationError(f"{args.polls}: {exc}") from exc
+    with open(out / "run.json", "w") as fh:
+        json.dump({"parse_polls": {"rows_in": len(records) + len(rejects),
+                                   "rows_out": len(records), "rejected": len(rejects)},
+                   **result.counts}, fh, indent=2)
+        fh.write("\n")
 
     sessions, excluded = trace.exclusion_modes(
         result.sessions, result.invalid_aps, args.exclude_mode,
@@ -411,8 +424,7 @@ def cmd_trace(args) -> int:
 
     # empirical occupancy at poll cadence vs fitted product form
     aps = sorted(set(result.estimates) - excluded)
-    epochs = sorted({r.timestamp for r in records})
-    occupancy = trace.occupancy_snapshots(sessions, aps, epochs)
+    occupancy = trace.occupancy_snapshots(sessions, aps, np.unique(records.t))
     form = analytic.ProductForm(
         tuple(result.estimates[ap].poisson_mean for ap in aps), tuple(aps))
     with open(out / "marginal_comparison.csv", "w", newline="") as fh:

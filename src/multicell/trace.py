@@ -8,9 +8,18 @@ sessions and per-AP model parameters:
     parse -> filter_window -> filter_invalid_days -> resolve_multi_association
           -> pad_gaps -> classify_open_closed -> extract_sessions
 
-Each step is deterministic. All steps are idempotent on their own output
-except filter_invalid_days, which is deliberately single-pass (the per-AP
-average is computed once, before any removal).
+Records travel between the steps as one columnar ``PollTable``; every step
+also accepts a plain list of ``PollRecord`` and converts it once. Each step
+is deterministic. ``filter_window`` and ``pad_gaps`` are idempotent on
+their own output. ``filter_invalid_days`` is deliberately single-pass (the
+per-AP average is computed once, before any removal).
+``resolve_multi_association`` is not idempotent: a folded ping-pong
+excursion keeps the absences around it, and a second pass fills them.
+
+Days are UTC days. A timestamp is first rounded to the microsecond, half to
+even (as ``datetime.fromtimestamp`` does); its day index is then
+floor(t / 86400), its weekday (day + 3) mod 7 with Monday = 0, and its
+second of day t - 86400 day.
 
 Decisions the source material leaves open are recorded in
 ``PREPROCESSING_NOTES`` and echoed into every pipeline report.
@@ -20,11 +29,12 @@ from __future__ import annotations
 
 import csv
 import gzip
-import io
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date
+
+import numpy as np
 
 from .stats import TestReport, independence_test, poisson_dist_test
 
@@ -42,6 +52,15 @@ PREPROCESSING_NOTES = (
     "sessions are truncated at the working-window boundary",
 )
 
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+#: Timestamps of 0001-01-01 and 10000-01-01 UTC: the dates an ISO day can name.
+_TS_MIN, _TS_MAX = -62135596800.0, 253402300800.0
+_INT64_MAX = 2 ** 63 - 1
+
+
+class TraceInputError(ValueError):
+    """The poll records cannot yield a result; the message says why."""
+
 
 @dataclass(frozen=True, order=True)
 class PollRecord:
@@ -49,6 +68,73 @@ class PollRecord:
     ap: str
     user: str
     packets: int
+
+
+@dataclass(frozen=True, eq=False)
+class PollTable:
+    """Poll records as columns, rows in (user, timestamp, ap) order.
+
+    ``t`` holds float64 timestamps, ``ap`` and ``user`` integer codes into
+    the sorted name tuples ``aps`` and ``users`` (so code order is name
+    order), ``packets`` int64 counts. Iteration yields ``PollRecord`` rows.
+    """
+    t: np.ndarray
+    ap: np.ndarray
+    user: np.ndarray
+    packets: np.ndarray
+    aps: tuple[str, ...]
+    users: tuple[str, ...]
+
+    @classmethod
+    def from_codes(cls, t, ap, ap_index: dict[str, int], user, user_index: dict[str, int],
+                   packets) -> PollTable:
+        """A table from per-row timestamps, packets and AP and user codes,
+        where each index maps a name to its code in order of first sight."""
+        ap_names, ap = _ranked(ap_index, ap)
+        user_names, user = _ranked(user_index, user)
+        return cls(np.asarray(t, dtype=float), ap, user,
+                   np.asarray(packets, dtype=np.int64), ap_names, user_names).ordered()
+
+    @classmethod
+    def from_records(cls, records) -> PollTable:
+        """A table from ``PollRecord`` rows."""
+        ap_index: dict[str, int] = {}
+        user_index: dict[str, int] = {}
+        return cls.from_codes([r.timestamp for r in records],
+                              [ap_index.setdefault(r.ap, len(ap_index)) for r in records],
+                              ap_index,
+                              [user_index.setdefault(r.user, len(user_index)) for r in records],
+                              user_index, [r.packets for r in records])
+
+    def ordered(self) -> PollTable:
+        """The same rows in (user, timestamp, ap) order; ties keep their order."""
+        return self.take(np.lexsort((self.ap, self.t, self.user)))
+
+    def take(self, rows) -> PollTable:
+        """The rows selected by an index array or a boolean mask, in that order."""
+        return PollTable(self.t[rows], self.ap[rows], self.user[rows], self.packets[rows],
+                         self.aps, self.users)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self):
+        aps, users = self.aps, self.users
+        for t, ap, user, packets in zip(self.t.tolist(), self.ap.tolist(),
+                                        self.user.tolist(), self.packets.tolist()):
+            yield PollRecord(t, aps[ap], users[user], packets)
+
+
+def _ranked(index: dict[str, int], codes) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted names of a first-sight index, and codes moved into them."""
+    names = sorted(index)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[[index[name] for name in names]] = np.arange(len(names))
+    return tuple(names), rank[np.asarray(codes, dtype=np.intp)]
+
+
+def _as_table(records) -> PollTable:
+    return records if isinstance(records, PollTable) else PollTable.from_records(records)
 
 
 @dataclass(frozen=True)
@@ -81,24 +167,52 @@ class PreprocessConfig:
         if not (self.departure_threshold > 0 and self.pingpong_return > 0
                 and self.closed_user_hours > 0):
             raise ValueError("durations must be positive")
+        if self.poll_cadence is not None and not 0 < self.poll_cadence < math.inf:
+            raise ValueError(f"poll cadence must be positive and finite, got {self.poll_cadence}")
         if not 0 < self.valid_day_fraction < 1:
             raise ValueError("valid_day_fraction must be in (0, 1)")
 
 
-def _utc(ts: float) -> datetime:
-    return datetime.fromtimestamp(ts, tz=timezone.utc)
+def _utc_days(t) -> tuple[np.ndarray, np.ndarray]:
+    """UTC day index and second of day of timestamps rounded to the
+    microsecond, half to even, as ``datetime.fromtimestamp`` rounds them."""
+    t = np.asarray(t, dtype=float)
+    whole = np.trunc(t)
+    micros = np.rint((t - whole) * 1e6)
+    carry = (micros >= 1e6).astype(np.int64) - (micros < 0)
+    day, second = np.divmod(whole.astype(np.int64) + carry, 86400)
+    return day, second + (micros - carry * 1e6) / 1e6
 
 
-def _day_key(ts: float) -> str:
-    return _utc(ts).date().isoformat()
+def _iso(day: int) -> str:
+    return date.fromordinal(_EPOCH_ORDINAL + day).isoformat()
 
 
-def parse_polls(source, fmt: str = "csv") -> tuple[list[PollRecord], list[tuple[int, str, str]]]:
+def _day_pairs(codes: np.ndarray, day: np.ndarray):
+    """Distinct (code, day) pairs sorted by code then day, the pair of each
+    row and the rows per pair."""
+    d0 = int(day.min()) if len(day) else 0
+    span = (int(day.max()) - d0 + 1) if len(day) else 1
+    keys, inverse, counts = np.unique(codes.astype(np.int64) * span + (day - d0),
+                                      return_inverse=True, return_counts=True)
+    pair_code, pair_day = np.divmod(keys, span)
+    return pair_code, pair_day + d0, inverse, counts
+
+
+def _group_starts(keys: np.ndarray) -> np.ndarray:
+    """First index of each run of equal values in a sorted array."""
+    if not len(keys):
+        return np.zeros(0, dtype=np.intp)
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+
+
+def parse_polls(source, fmt: str = "csv") -> tuple[PollTable, list[tuple[int, str, str]]]:
     """Read poll records from a path or file object.
 
-    Returns (records sorted by (timestamp, ap, user), rejects). Each reject
-    is (line number, raw line, reason); malformed lines are reported, never
-    silently dropped. Gzip-compressed files are accepted by suffix.
+    Returns (a ``PollTable``, rejects). Each reject is (line number, raw
+    line, reason); malformed lines are reported, never silently dropped.
+    Gzip-compressed files are accepted by suffix. A file that cannot be
+    read as text raises ``TraceInputError`` naming the file and line.
     """
     if fmt != "csv":
         raise ValueError(f"unknown format descriptor {fmt!r}")
@@ -108,10 +222,12 @@ def parse_polls(source, fmt: str = "csv") -> tuple[list[PollRecord], list[tuple[
         fh = gzip.open(path, "rt") if path.endswith(".gz") else open(path)
         close = True
     else:
-        fh = source
-    records, rejects = [], []
+        path, fh = getattr(source, "name", "<stream>"), source
+    times, aps, users, packet_counts, rejects = [], [], [], [], []
+    ap_index: dict[str, int] = {}
+    user_index: dict[str, int] = {}
+    reader = csv.reader(fh)
     try:
-        reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (lineno == 1 and row[0].strip().lower() == "timestamp"):
                 continue
@@ -128,86 +244,233 @@ def parse_polls(source, fmt: str = "csv") -> tuple[list[PollRecord], list[tuple[
             if not math.isfinite(ts):
                 rejects.append((lineno, raw, "non-finite timestamp"))
                 continue
+            if not _TS_MIN <= ts < _TS_MAX:
+                rejects.append((lineno, raw, "timestamp outside the years 1-9999"))
+                continue
             if packets < 0:
                 rejects.append((lineno, raw, f"negative packets {packets}"))
                 continue
-            records.append(PollRecord(ts, row[1].strip(), row[2].strip(), packets))
+            if packets > _INT64_MAX:
+                rejects.append((lineno, raw, f"packets {packets} above 2**63 - 1"))
+                continue
+            times.append(ts)
+            aps.append(ap_index.setdefault(row[1].strip(), len(ap_index)))
+            users.append(user_index.setdefault(row[2].strip(), len(user_index)))
+            packet_counts.append(packets)
+    except (OSError, EOFError, UnicodeDecodeError, csv.Error) as exc:
+        raise TraceInputError(
+            f"cannot read poll records from {path} after line {reader.line_num}: {exc}"
+        ) from exc
     finally:
         if close:
             fh.close()
-    records.sort(key=lambda r: (r.timestamp, r.ap, r.user))
-    return records, rejects
+    return PollTable.from_codes(times, aps, ap_index, users, user_index, packet_counts), rejects
 
 
 def infer_cadence(records) -> float:
     """Modal positive gap between consecutive distinct poll timestamps."""
-    times = sorted({r.timestamp for r in records})
-    gaps = Counter(round(b - a, 6) for a, b in zip(times, times[1:]) if b > a)
-    if not gaps:
-        raise ValueError("cannot infer poll cadence from fewer than 2 distinct timestamps")
-    return max(gaps.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    gaps, counts = np.unique(np.diff(np.unique(_as_table(records).t)), return_counts=True)
+    if not len(gaps):
+        raise TraceInputError("cannot infer poll cadence from fewer than 2 distinct "
+                              "timestamps; give the cadence explicitly")
+    modal: Counter = Counter()
+    for gap, count in zip(gaps.tolist(), counts.tolist()):
+        modal[round(gap, 6)] += count
+    cadence = max(modal.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    if cadence <= 0:
+        raise TraceInputError("the modal gap between distinct timestamps rounds to 0 s; "
+                              "give the cadence explicitly")
+    return cadence
 
 
 def _excluded(cfg: PreprocessConfig, day: str) -> bool:
     return any(lo <= day <= hi for lo, hi in cfg.excluded_date_ranges)
 
 
-def filter_window(records, cfg: PreprocessConfig) -> list[PollRecord]:
+def filter_window(records, cfg: PreprocessConfig) -> PollTable:
     """Keep records inside the working window (start inclusive, end
     exclusive), on configured weekdays, outside excluded date ranges."""
-    out = []
-    for r in records:
-        dt = _utc(r.timestamp)
-        if dt.weekday() not in cfg.weekdays:
-            continue
-        sec = dt.hour * 3600 + dt.minute * 60 + dt.second + dt.microsecond / 1e6
-        if not cfg.work_start <= sec < cfg.work_end:
-            continue
-        if _excluded(cfg, dt.date().isoformat()):
-            continue
-        out.append(r)
-    return out
+    table = _as_table(records)
+    day, second = _utc_days(table.t)
+    keep = (np.isin((day + 3) % 7, cfg.weekdays)
+            & (cfg.work_start <= second) & (second < cfg.work_end))
+    if cfg.excluded_date_ranges:
+        excluded = [d for d in np.unique(day[keep]).tolist() if _excluded(cfg, _iso(d))]
+        keep &= ~np.isin(day, excluded)
+    return table.take(keep)
 
 
 def filter_invalid_days(records, cfg: PreprocessConfig, cadence: float
-                        ) -> tuple[list[PollRecord], dict[str, list[str]]]:
+                        ) -> tuple[PollTable, dict[str, list[str]]]:
     """Drop, per AP, the days whose total service time falls below the
     configured fraction of that AP's across-days average.
 
     Service time of an AP on a day is its poll count times the cadence
     (each poll is one user-attachment sample). The average is over days
     with nonzero service, computed before any removal (single pass).
+    ``removed`` lists each AP's dropped ISO days, APs in the order of their
+    first poll.
     """
-    service: dict[str, Counter] = defaultdict(Counter)
-    for r in records:
-        service[r.ap][_day_key(r.timestamp)] += 1
+    table = _as_table(records)
+    day, _ = _utc_days(table.t)
+    pair_ap, pair_day, inverse, polls = _day_pairs(table.ap, day)
+    starts = _group_starts(pair_ap)
+    total = np.add.reduceat(polls, starts) if len(starts) else polls
+    days = np.diff(np.r_[starts, len(pair_ap)])
+    average = np.repeat(total / days * cadence, days)
+    bad = polls * cadence < cfg.valid_day_fraction * average
     removed: dict[str, list[str]] = {}
-    drop: set[tuple[str, str]] = set()
-    for ap, days in service.items():
-        avg = sum(days.values()) / len(days) * cadence
-        bad = sorted(d for d, c in days.items() if c * cadence < cfg.valid_day_fraction * avg)
-        if bad:
-            removed[ap] = bad
-            drop.update((ap, d) for d in bad)
-    out = [r for r in records if (r.ap, _day_key(r.timestamp)) not in drop]
-    return out, removed
+    if bad.any():
+        first_poll = np.full(len(table.aps), np.inf)
+        np.minimum.at(first_poll, table.ap, table.t)
+        for ap in sorted(set(pair_ap[bad].tolist()), key=lambda a: (first_poll[a], a)):
+            removed[table.aps[ap]] = [_iso(d) for d in pair_day[bad & (pair_ap == ap)].tolist()]
+    return table.take(~bad[inverse]), removed
 
 
-def _runs(user_records, cadence):
-    """Maximal same-AP record groups; a gap > cadence or an AP change starts
-    a new run. Yields lists of records."""
-    run = []
-    for r in user_records:
-        if run and (r.ap != run[-1].ap or r.timestamp - run[-1].timestamp > cadence + 1e-9):
-            yield run
-            run = []
-        run.append(r)
-    if run:
-        yield run
+def _fill_times(after: np.ndarray, before: np.ndarray, cadence: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Missing poll epochs inside gaps: for each gap, after + cadence,
+    + cadence, ... (by repeated addition) while below before - 1e-9.
+    Returns (gap index, epoch) pairs."""
+    gap = np.arange(len(after))
+    t = after + cadence
+    end = before - 1e-9
+    gaps, epochs = [gap[:0]], [t[:0]]
+    while len(t):
+        live = t < end
+        gap, t, end = gap[live], t[live], end[live]
+        gaps.append(gap)
+        epochs.append(t)
+        t = t + cadence
+    return np.concatenate(gaps), np.concatenate(epochs)
 
 
-def resolve_multi_association(records, cfg: PreprocessConfig, cadence: float
-                              ) -> list[PollRecord]:
+def _with_fills(table: PollTable, t, ap, user) -> PollTable:
+    """The table plus zero-packet rows, back in (user, timestamp, ap) order."""
+    return PollTable(np.concatenate([table.t, t]), np.concatenate([table.ap, ap]),
+                     np.concatenate([table.user, user]),
+                     np.concatenate([table.packets, np.zeros(len(t), dtype=np.int64)]),
+                     table.aps, table.users).ordered()
+
+
+def _merge_multi_association(table: PollTable, cadence: float) -> tuple[PollTable, int]:
+    """One row per (user, epoch): a multi-association period goes to its
+    packet winner, each epoch keeping the packets of all its rows. Returns
+    the table and the number of rows merged away."""
+    t, ap, user, packets = table.t, table.ap, table.user, table.packets
+    n = len(t)
+    if not n:
+        return table, 0
+    new_epoch = np.r_[True, (user[1:] != user[:-1]) | (t[1:] != t[:-1])]
+    epoch_start = np.flatnonzero(new_epoch)
+    multi = np.diff(np.r_[epoch_start, n]) > 1
+    if not multi.any():
+        return table, 0
+    # periods: runs of multi-AP epochs of one user at most one cadence apart
+    mt, mu = t[epoch_start[multi]], user[epoch_start[multi]]
+    period = np.cumsum(np.r_[True, (mu[1:] != mu[:-1]) | (mt[1:] - mt[:-1] > cadence + 1e-9)]) - 1
+    epoch_period = np.full(len(epoch_start), -1)
+    epoch_period[multi] = period
+    row_period = epoch_period[np.cumsum(new_epoch) - 1]
+    rows = np.flatnonzero(row_period >= 0)
+    # per (period, ap): packets and first attachment; rows are in time order
+    key = row_period[rows] * len(table.aps) + ap[rows]
+    order = np.argsort(key, kind="stable")
+    key, rows = key[order], rows[order]
+    first = _group_starts(key)
+    group_period, group_ap = np.divmod(key[first], len(table.aps))
+    group_packets = np.add.reduceat(packets[rows], first)
+    best = np.lexsort((group_ap, t[rows[first]], -group_packets, group_period))
+    winners = group_ap[best][_group_starts(group_period[best])]
+
+    out_ap = ap[epoch_start]
+    out_ap[multi] = winners[period]
+    return PollTable(t[epoch_start], out_ap, user[epoch_start],
+                     np.add.reduceat(packets, epoch_start), table.aps, table.users
+                     ), n - len(epoch_start)
+
+
+def _pingpong_fold(aps: list, users: list, firsts: list, lasts: list,
+                   cadence: float, limit: float) -> tuple[list, list]:
+    """Fold ping-pong runs of one-row-per-epoch, single-AP runs.
+
+    At each pair of neighbouring runs of a user (prev, cur), left to right:
+    a same-AP absence with cadence < gap <= limit joins the two runs and its
+    missing epochs are filled; otherwise an excursion cur between two runs
+    at prev's AP whose ends are at most limit apart is reassigned to that
+    AP and the three runs join. After a join the scan steps back one pair,
+    the only earlier pair whose inputs changed, so the result equals
+    restarting the scan from the first pair after every join, in linear
+    time. Returns the joined runs as [first run, end run, ap, user, first
+    epoch, last epoch] and the filled gaps as (first run after the gap,
+    epoch before, epoch after).
+    """
+    rest = [[i, i + 1, aps[i], users[i], firsts[i], lasts[i]] for i in range(len(aps) - 1, -1, -1)]
+    done = [rest.pop()] if rest else []
+    fills = []
+    while rest:
+        prev, cur = done[-1], rest[-1]
+        gap = cur[4] - prev[5]
+        if prev[3] == cur[3] and prev[2] == cur[2] and cadence < gap <= limit:
+            fills.append((cur[0], prev[5], cur[4]))
+            rest.pop()
+        elif (len(rest) > 1 and prev[3] == cur[3] == rest[-2][3]
+              and prev[2] == rest[-2][2] != cur[2] and rest[-2][4] - prev[5] <= limit):
+            rest.pop()
+            cur = rest.pop()
+        else:
+            done.append(rest.pop())
+            continue
+        prev[1], prev[5] = cur[1], cur[5]
+        if len(done) > 1:
+            rest.append(done.pop())
+    return done, fills
+
+
+def _fold_pingpong(table: PollTable, cfg: PreprocessConfig, cadence: float
+                   ) -> tuple[PollTable, int, int]:
+    """Fold short excursions and absences back into the surrounding AP.
+    Needs one row per (user, epoch). Returns the table, the rows filled in
+    and the rows reassigned to another AP."""
+    t, ap, user = table.t, table.ap, table.user
+    n = len(t)
+    if not n:
+        return table, 0, 0
+    start = np.flatnonzero(np.r_[True, (user[1:] != user[:-1]) | (ap[1:] != ap[:-1])
+                                 | (t[1:] - t[:-1] > cadence + 1e-9)])
+    end = np.r_[start[1:], n]
+    run_ap, run_user, first, last = ap[start], user[start], t[start], t[end - 1]
+    same = run_user[1:] == run_user[:-1]
+    gap = first[1:] - last[:-1]
+    absence = same & (run_ap[1:] == run_ap[:-1]) & (cadence < gap) & (gap <= cfg.pingpong_return)
+    excursion = (same[1:] & same[:-1] & (run_ap[2:] == run_ap[:-2]) & (run_ap[1:-1] != run_ap[:-2])
+                 & (first[2:] - last[:-2] <= cfg.pingpong_return))
+    folding = np.isin(run_user, np.r_[run_user[1:][absence], run_user[1:-1][excursion]])
+    if not folding.any():
+        return table, 0, 0
+    runs = np.flatnonzero(folding)   # all runs of the users with something to fold
+    joined, fills = _pingpong_fold(run_ap[runs].tolist(), run_user[runs].tolist(),
+                                   first[runs].tolist(), last[runs].tolist(),
+                                   cadence, cfg.pingpong_return)
+    group_of_run = np.repeat(np.arange(len(joined)), [j[1] - j[0] for j in joined])
+    group_ap = np.array([j[2] for j in joined], dtype=ap.dtype)
+    new_run_ap = run_ap.copy()
+    new_run_ap[runs] = group_ap[group_of_run]
+    new_ap = np.repeat(new_run_ap, end - start)
+    reassigned = int(np.count_nonzero(new_ap != ap))
+    folded = PollTable(t, new_ap, user, table.packets, table.aps, table.users)
+    if not fills:
+        return folded, 0, reassigned
+    next_run, before, after = (np.array(c) for c in zip(*fills))
+    which, epochs = _fill_times(before, after, cadence)
+    owner = group_of_run[next_run[which]]
+    return (_with_fills(folded, epochs, group_ap[owner], run_user[runs][next_run[which]]),
+            len(epochs), reassigned)
+
+
+def resolve_multi_association(records, cfg: PreprocessConfig, cadence: float,
+                              counts: dict | None = None) -> PollTable:
     """Resolve simultaneous multi-AP attachments and ping-pong excursions.
 
     A multiple-association period is a maximal span of poll epochs (gaps at
@@ -216,85 +479,20 @@ def resolve_multi_association(records, cfg: PreprocessConfig, cadence: float
     the user during it; ties break by earliest attachment, then
     lexicographic AP id. Afterwards, an excursion or absence from an AP
     shorter than the ping-pong threshold is folded back into that AP.
+
+    When ``counts`` is given it receives ``multi_association_merged`` (rows
+    merged away), ``pingpong_filled`` (epochs filled in) and
+    ``pingpong_reassigned`` (rows moved to the surrounding AP).
     """
-    by_user: dict[str, list[PollRecord]] = defaultdict(list)
-    for r in records:
-        by_user[r.user].append(r)
-
-    out: list[PollRecord] = []
-    for user in sorted(by_user):
-        recs = sorted(by_user[user], key=lambda r: (r.timestamp, r.ap))
-        by_epoch: dict[float, list[PollRecord]] = defaultdict(list)
-        for r in recs:
-            by_epoch[r.timestamp].append(r)
-        epochs = sorted(by_epoch)
-        multi = [t for t in epochs if len(by_epoch[t]) > 1]
-
-        # group multi-association epochs into periods
-        periods: list[list[float]] = []
-        for t in multi:
-            if periods and t - periods[-1][-1] <= cadence + 1e-9:
-                periods[-1].append(t)
-            else:
-                periods.append([t])
-
-        resolved: list[PollRecord] = []
-        consumed: set[float] = set()
-        for period in periods:
-            lo, hi = period[0], period[-1]
-            in_period = [r for t in period for r in by_epoch[t]]
-            packets: Counter = Counter()
-            first_seen: dict[str, float] = {}
-            for r in in_period:
-                packets[r.ap] += r.packets
-                first_seen.setdefault(r.ap, r.timestamp)
-            winner = min(packets, key=lambda ap: (-packets[ap], first_seen[ap], ap))
-            for t in period:
-                consumed.add(t)
-                resolved.append(PollRecord(t, winner, user,
-                                           sum(r.packets for r in by_epoch[t])))
-        for t in epochs:
-            if t not in consumed:
-                resolved.extend(by_epoch[t])
-        resolved.sort(key=lambda r: r.timestamp)
-
-        # ping-pong: fold short excursions/absences back into the surrounding AP
-        runs = list(_runs(resolved, cadence))
-        changed = True
-        while changed:
-            changed = False
-            for i in range(1, len(runs)):
-                prev, cur = runs[i - 1], runs[i]
-                gap = cur[0].timestamp - prev[-1].timestamp
-                if prev[-1].ap == cur[0].ap and cadence < gap <= cfg.pingpong_return:
-                    # same-AP absence below threshold: fill the missing epochs
-                    fill = []
-                    t = prev[-1].timestamp + cadence
-                    while t < cur[0].timestamp - 1e-9:
-                        fill.append(PollRecord(t, prev[-1].ap, user, 0))
-                        t += cadence
-                    runs[i - 1] = prev + fill + cur
-                    del runs[i]
-                    changed = True
-                    break
-                if (i + 1 < len(runs) and prev[-1].ap == runs[i + 1][0].ap
-                        and prev[-1].ap != cur[0].ap
-                        and runs[i + 1][0].timestamp - prev[-1].timestamp
-                        <= cfg.pingpong_return):
-                    # short excursion to another AP: reassign it
-                    home = prev[-1].ap
-                    runs[i] = [PollRecord(r.timestamp, home, user, r.packets) for r in cur]
-                    runs[i - 1] = prev + runs[i] + runs[i + 1]
-                    del runs[i:i + 2]
-                    changed = True
-                    break
-        for run in runs:
-            out.extend(run)
-    out.sort(key=lambda r: (r.timestamp, r.ap, r.user))
-    return out
+    table, merged = _merge_multi_association(_as_table(records), cadence)
+    table, filled, reassigned = _fold_pingpong(table, cfg, cadence)
+    if counts is not None:
+        counts.update(multi_association_merged=merged, pingpong_filled=filled,
+                      pingpong_reassigned=reassigned)
+    return table
 
 
-def pad_gaps(records, cfg: PreprocessConfig, cadence: float) -> list[PollRecord]:
+def pad_gaps(records, cfg: PreprocessConfig, cadence: float) -> PollTable:
     """Bridge absences shorter than the departure threshold.
 
     A user absent from all APs for less than the threshold and then
@@ -302,45 +500,38 @@ def pad_gaps(records, cfg: PreprocessConfig, cadence: float) -> list[PollRecord]
     missing epochs. Longer absences are left alone and split sessions
     later.
     """
-    by_user: dict[str, list[PollRecord]] = defaultdict(list)
-    for r in records:
-        by_user[r.user].append(r)
-    out: list[PollRecord] = []
-    for user in sorted(by_user):
-        recs = sorted(by_user[user], key=lambda r: r.timestamp)
-        out.append(recs[0])
-        for prev, cur in zip(recs, recs[1:]):
-            gap = cur.timestamp - prev.timestamp
-            if cadence + 1e-9 < gap < cfg.departure_threshold:
-                t = prev.timestamp + cadence
-                while t < cur.timestamp - 1e-9:
-                    out.append(PollRecord(t, cur.ap, user, 0))
-                    t += cadence
-            out.append(cur)
-    out.sort(key=lambda r: (r.timestamp, r.ap, r.user))
-    return out
+    table = _as_table(records)
+    t, user = table.t, table.user
+    gap = t[1:] - t[:-1]
+    after = np.flatnonzero((user[1:] == user[:-1]) & (cadence + 1e-9 < gap)
+                           & (gap < cfg.departure_threshold))
+    if not len(after):
+        return table
+    which, epochs = _fill_times(t[after], t[after + 1], cadence)
+    return _with_fills(table, epochs, table.ap[after + 1][which], user[after][which])
 
 
 def classify_open_closed(records, cfg: PreprocessConfig, cadence: float
                          ) -> tuple[set[str], set[str], float]:
     """Split users into open and closed; a user attached at least the
     configured number of hours on any single day is closed."""
-    daily: dict[tuple[str, str], float] = defaultdict(float)
-    users: set[str] = set()
-    for r in records:
-        users.add(r.user)
-        daily[(r.user, _day_key(r.timestamp))] += cadence
-    threshold = cfg.closed_user_hours * 3600.0
-    closed = {u for (u, _d), t in daily.items() if t >= threshold - 1e-9}
-    open_users = users - closed
-    fraction = len(closed) / len(users) if users else 0.0
-    return open_users, closed, fraction
+    table = _as_table(records)
+    present = np.unique(table.user)
+    if not len(present):
+        return set(), set(), 0.0
+    day, _ = _utc_days(table.t)
+    pair_user, _, _, polls = _day_pairs(table.user, day)
+    # attachment time as the running sum of one cadence per poll
+    attached = np.cumsum(np.full(polls.max(), cadence))[polls - 1]
+    closed_codes = np.unique(pair_user[attached >= cfg.closed_user_hours * 3600.0 - 1e-9])
+    closed = {table.users[u] for u in closed_codes.tolist()}
+    open_users = {table.users[u] for u in present.tolist()} - closed
+    return open_users, closed, len(closed) / len(present)
 
 
-def _window_bounds(cfg: PreprocessConfig, ts: float) -> tuple[float, float]:
-    dt = _utc(ts)
-    day0 = datetime(dt.year, dt.month, dt.day, tzinfo=timezone.utc).timestamp()
-    return day0 + cfg.work_start, day0 + cfg.work_end
+def _select_users(table: PollTable, users) -> PollTable:
+    keep = np.array([u in users for u in table.users], dtype=bool)
+    return table.take(keep[table.user])
 
 
 def extract_sessions(records, cfg: PreprocessConfig, cadence: float,
@@ -349,44 +540,49 @@ def extract_sessions(records, cfg: PreprocessConfig, cadence: float,
 
     Contiguous same-AP attachment runs become stages; a stage interval
     extends half a cadence beyond the first and last poll and is clamped to
-    the working window. Consecutive stages chain into one session; an
-    absence of at least the departure threshold starts a new session.
+    the working window of the run's first poll. Consecutive stages chain
+    into one session; an absence of at least the departure threshold starts
+    a new session.
     """
-    by_user: dict[str, list[PollRecord]] = defaultdict(list)
-    for r in records:
-        if users is None or r.user in users:
-            by_user[r.user].append(r)
-
-    sessions: list[SessionRecord] = []
-    table: Counter = Counter()
+    table = _as_table(records)
+    if users is not None:
+        table = _select_users(table, users)
+    t, ap, user = table.t, table.ap, table.user
+    n = len(t)
+    if not n:
+        return [], Counter()
+    gap = t[1:] - t[:-1]
+    session_break = np.r_[True, (user[1:] != user[:-1]) | (gap >= cfg.departure_threshold)]
+    start = np.flatnonzero(session_break | np.r_[False, (ap[1:] != ap[:-1])
+                                                 | (gap > cadence + 1e-9)])
+    last = np.r_[start[1:], n] - 1
     half = cadence / 2.0
-    for user in sorted(by_user):
-        recs = sorted(by_user[user], key=lambda r: r.timestamp)
-        groups: list[list[PollRecord]] = [[recs[0]]]
-        for prev, cur in zip(recs, recs[1:]):
-            if cur.timestamp - prev.timestamp >= cfg.departure_threshold:
-                groups.append([cur])
-            else:
-                groups[-1].append(cur)
-        for group in groups:
-            stages: list[tuple[str, float, float]] = []
-            for run in _runs(group, cadence):
-                lo_w, hi_w = _window_bounds(cfg, run[0].timestamp)
-                entry = max(run[0].timestamp - half, lo_w)
-                exit_ = min(run[-1].timestamp + half, hi_w)
-                if stages and stages[-1][0] == run[0].ap and entry <= stages[-1][2] + 1e-9:
-                    ap, e0, _ = stages[-1]
-                    stages[-1] = (ap, e0, exit_)
-                else:
-                    if stages:
-                        # chain stages: close the previous one at this entry
-                        entry = max(entry, stages[-1][2])
-                    stages.append((run[0].ap, entry, exit_))
-            stages = [(ap, e, x) for ap, e, x in stages if x > e]
-            if stages:
-                sessions.append(SessionRecord(user, tuple(stages)))
-                table[len(stages)] += 1
-    return sessions, table
+    day0 = _utc_days(t[start])[0] * 86400.0
+    entry = np.maximum(t[start] - half, day0 + cfg.work_start)
+    exit_ = np.minimum(t[last] + half, day0 + cfg.work_end)
+    run_ap = ap[start]
+    # a run continues the previous stage of its session when it has the same
+    # AP and overlaps it, otherwise it starts a stage no earlier than that
+    # stage's exit (which is always the previous run's exit)
+    chained = ~session_break[start]
+    joins = np.zeros(len(start), dtype=bool)
+    joins[1:] = chained[1:] & (run_ap[1:] == run_ap[:-1]) & (entry[1:] <= exit_[:-1] + 1e-9)
+    shift = chained & ~joins
+    entry[1:][shift[1:]] = np.maximum(entry[1:], exit_[:-1])[shift[1:]]
+    stage_first = np.flatnonzero(~joins)
+    stage_last = np.r_[stage_first[1:], len(start)] - 1
+    stage_entry, stage_exit = entry[stage_first], exit_[stage_last]
+    kept = stage_exit > stage_entry
+    stage_first = stage_first[kept]
+    stage_session = np.cumsum(session_break[start])[stage_first] - 1
+    stages = list(zip([table.aps[a] for a in run_ap[stage_first].tolist()],
+                      stage_entry[kept].tolist(), stage_exit[kept].tolist()))
+    session_ids, first_stage, sizes = np.unique(stage_session, return_index=True,
+                                                return_counts=True)
+    session_user = user[start[stage_first[first_stage]]].tolist()
+    sessions = [SessionRecord(table.users[u], tuple(stages[i:i + k]))
+                for u, i, k in zip(session_user, first_stage.tolist(), sizes.tolist())]
+    return sessions, Counter(sizes.tolist())
 
 
 def stage_table_rows(table: Counter, cap: int = 5) -> list[tuple[str, int]]:
@@ -419,10 +615,13 @@ class APValidity:
 
 
 def observed_days(records) -> dict[str, set[str]]:
-    """Per AP, the set of days with at least one (surviving) record."""
-    days: dict[str, set[str]] = defaultdict(set)
-    for r in records:
-        days[r.ap].add(_day_key(r.timestamp))
+    """Per AP, the set of ISO days with at least one (surviving) record."""
+    table = _as_table(records)
+    pair_ap, pair_day, _, _ = _day_pairs(table.ap, _utc_days(table.t)[0])
+    iso = {d: _iso(d) for d in np.unique(pair_day).tolist()}
+    days: dict[str, set[str]] = {}
+    for ap, day in zip(pair_ap.tolist(), pair_day.tolist()):
+        days.setdefault(table.aps[ap], set()).add(iso[day])
     return days
 
 
@@ -431,21 +630,18 @@ def arrival_series(sessions, cfg: PreprocessConfig, ap_days: dict[str, set[str]]
     """Per AP, new-session (first stage) arrival counts per interval bucket
     over that AP's observed working time, in day-then-bucket order."""
     buckets_per_day = int((cfg.work_end - cfg.work_start) // interval)
-    index: dict[str, dict[tuple[str, int], int]] = {
-        ap: {(d, b): 0 for d in sorted(days) for b in range(buckets_per_day)}
-        for ap, days in ap_days.items()
-    }
-    for s in sessions:
-        ap, entry, _ = s.stages[0]
-        if ap not in index:
-            continue
-        day = _day_key(entry)
-        lo_w, _ = _window_bounds(cfg, entry)
-        b = int((entry - lo_w) // interval)
-        if (day, b) in index[ap]:
-            index[ap][(day, b)] += 1
-    return {ap: [cnt for _key, cnt in sorted(cells.items())]
-            for ap, cells in index.items()}
+    counts = {ap: {d: [0] * buckets_per_day for d in days} for ap, days in ap_days.items()}
+    if sessions:
+        aps = [s.stages[0][0] for s in sessions]
+        entries = np.array([s.stages[0][1] for s in sessions])
+        day, _ = _utc_days(entries)
+        bucket = (entries - (day * 86400.0 + cfg.work_start)) // interval
+        iso = {d: _iso(d) for d in np.unique(day).tolist()}
+        for ap, d, b in zip(aps, day.tolist(), bucket.tolist()):
+            per_day = counts.get(ap, {}).get(iso[d])
+            if per_day is not None and 0 <= b < buckets_per_day:
+                per_day[int(b)] += 1
+    return {ap: [c for d in sorted(days) for c in days[d]] for ap, days in counts.items()}
 
 
 def estimate_cell_params(sessions, cfg: PreprocessConfig,
@@ -518,27 +714,21 @@ def occupancy_snapshots(sessions, aps: list[str], epochs) -> list[tuple[int, ...
     """Re-sample attachment state: per epoch, users attached per AP.
 
     A user counts toward an AP at time t when some stage has
-    entry <= t < exit. Returns one count vector per epoch, AP order as
-    given.
+    entry <= t < exit. Returns one count vector per epoch in time order,
+    AP order as given.
     """
     ap_index = {ap: i for i, ap in enumerate(aps)}
-    events = []   # (time, order, ap_idx, delta); exits sort before entries at equal t
-    for s in sessions:
-        for ap, e, x in s.stages:
-            if ap in ap_index:
-                events.append((e, 1, ap_index[ap], +1))
-                events.append((x, 0, ap_index[ap], -1))
-    events.sort()
-    counts = [0] * len(aps)
-    out = []
-    i = 0
-    for t in sorted(epochs):
-        while i < len(events) and events[i][0] <= t:
-            _, _, idx, delta = events[i]
-            counts[idx] += delta
-            i += 1
-        out.append(tuple(counts))
-    return out
+    stages = [(ap_index[ap], e, x) for s in sessions for ap, e, x in s.stages
+              if ap in ap_index]
+    times = np.sort(np.asarray(epochs, dtype=float))
+    counts = np.zeros((len(times), len(aps)), dtype=np.int64)
+    if stages:
+        idx, entry, exit_ = (np.array(c) for c in zip(*stages))
+        for i in range(len(aps)):
+            at = idx == i
+            counts[:, i] = (np.searchsorted(np.sort(entry[at]), times, side="right")
+                            - np.searchsorted(np.sort(exit_[at]), times, side="right"))
+    return [tuple(row) for row in counts.tolist()]
 
 
 @dataclass
@@ -557,6 +747,9 @@ class TraceResult:
     validity: dict[str, APValidity]
     ap_days: dict[str, set[str]]
     notes: tuple[str, ...] = PREPROCESSING_NOTES
+    #: rows in and out of each step, plus what multi-association and the
+    #: padding added, merged or moved
+    counts: dict = field(default_factory=dict)
 
     @property
     def valid_aps(self) -> set[str]:
@@ -567,25 +760,67 @@ class TraceResult:
         return set(self.validity) - self.valid_aps
 
 
+def _no_sessions(counts: dict, cfg: PreprocessConfig) -> str:
+    """Which step left nothing to extract sessions from, and how many rows
+    it dropped."""
+    why = {
+        "filter_window": f"outside the {cfg.work_start / 3600:g}-{cfg.work_end / 3600:g} h "
+                         f"UTC window on weekdays {list(cfg.weekdays)} or in excluded dates",
+        "filter_invalid_days": "on days below the per-AP service fraction",
+        "classify_open_closed": f"of closed users (attached >= {cfg.closed_user_hours:g} h "
+                                "on some day)",
+    }
+    for step, reason in why.items():
+        c = counts[step]
+        if c["rows_in"] and not c["rows_out"]:
+            return (f"need at least one session: {step} dropped all {c['rows_in']} "
+                    f"records as {reason}")
+    c = counts["extract_sessions"]
+    return (f"need at least one session: extract_sessions made none from "
+            f"{c['rows_in']} records")
+
+
 def run_pipeline(records, cfg: PreprocessConfig, rejects=None,
                  interval: float = 3600.0,
                  eta_threshold: float = 0.15,
                  theta_threshold: float = 0.15) -> TraceResult:
-    """The full fixed-order preprocessing pipeline over parsed records."""
-    cadence = cfg.poll_cadence if cfg.poll_cadence is not None else infer_cadence(records)
-    n_in = len(records)
-    records = filter_window(records, cfg)
-    records, removed = filter_invalid_days(records, cfg, cadence)
-    records = resolve_multi_association(records, cfg, cadence)
-    records = pad_gaps(records, cfg, cadence)
-    open_users, closed_users, frac = classify_open_closed(records, cfg, cadence)
-    sessions, table = extract_sessions(records, cfg, cadence, users=open_users)
-    ap_days = observed_days(records)
+    """The full fixed-order preprocessing pipeline over parsed records.
+
+    Raises ``TraceInputError`` when the cadence cannot be inferred or no
+    session survives, naming the step that dropped the records.
+    """
+    polls = _as_table(records)
+    cadence = cfg.poll_cadence if cfg.poll_cadence is not None else infer_cadence(polls)
+    counts: dict = {}
+
+    def step(name, rows_in, rows_out, **extra):
+        counts[name] = {"rows_in": rows_in, "rows_out": rows_out, **extra}
+
+    window = filter_window(polls, cfg)
+    step("filter_window", len(polls), len(window))
+    valid, removed = filter_invalid_days(window, cfg, cadence)
+    step("filter_invalid_days", len(window), len(valid),
+         ap_days_removed=sum(len(d) for d in removed.values()))
+    folds: dict = {}
+    resolved = resolve_multi_association(valid, cfg, cadence, counts=folds)
+    step("resolve_multi_association", len(valid), len(resolved), **folds)
+    padded = pad_gaps(resolved, cfg, cadence)
+    step("pad_gaps", len(resolved), len(padded), padded=len(padded) - len(resolved))
+    open_users, closed_users, frac = classify_open_closed(padded, cfg, cadence)
+    open_rows = _select_users(padded, open_users)
+    step("classify_open_closed", len(padded), len(open_rows),
+         open_users=len(open_users), closed_users=len(closed_users))
+    sessions, stage_table = extract_sessions(open_rows, cfg, cadence)
+    step("extract_sessions", len(open_rows), len(sessions),
+         stages=sum(s.stage_count for s in sessions))
+    if not sessions:
+        raise TraceInputError(_no_sessions(counts, cfg))
+    ap_days = observed_days(padded)
     estimates, series = estimate_cell_params(sessions, cfg, ap_days, interval)
     validity = test_ap_validity(series, interval, eta_threshold, theta_threshold)
-    return TraceResult(cadence, n_in, rejects or [], removed, open_users,
-                       closed_users, frac, sessions, table, estimates, series,
-                       validity, ap_days)
+    return TraceResult(cadence, len(polls), rejects or [], removed, open_users,
+                       closed_users, frac, sessions, stage_table, estimates, series,
+                       validity, ap_days, counts=counts)
 
 
 def write_sessions_csv(sessions, path) -> None:

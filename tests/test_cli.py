@@ -245,7 +245,66 @@ class TestFixtureAndTrace:
                        "--out", str(tmp_path / "o")])
         assert rc == 1
 
-    def test_trace_missing_polls_exit_2(self, tmp_path):
-        rc = cli.main(["trace", "--polls", str(tmp_path / "nope.csv"),
-                       "--out", str(tmp_path / "o")])
-        assert rc == 2
+    def test_trace_missing_polls_exit_1(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        rc = cli.main(["trace", "--polls", str(missing), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "not found" in err and str(missing) in err
+
+    def test_trace_non_gzip_gz_exit_1(self, tmp_path, capsys):
+        polls = tmp_path / "polls.csv.gz"
+        polls.write_text("timestamp,ap,user,packets\n100.0,AP1,u1,5\n")
+        rc = cli.main(["trace", "--polls", str(polls), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "gzip" in err and str(polls) in err
+
+    def test_trace_single_timestamp_without_cadence_exit_1(self, tmp_path, capsys):
+        polls = tmp_path / "polls.csv"
+        polls.write_text("timestamp,ap,user,packets\n"
+                         "1073293200.0,AP1,u1,5\n1073293200.0,AP2,u2,5\n")
+        rc = cli.main(["trace", "--polls", str(polls), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "cannot infer poll cadence" in err and str(polls) in err
+
+    def test_trace_all_records_outside_window_exit_1(self, tmp_path, capsys):
+        polls = tmp_path / "polls.csv"
+        # Monday 2004-01-05, 18:00-18:10 UTC: after the working window
+        polls.write_text("timestamp,ap,user,packets\n" + "".join(
+            f"{1073325600.0 + 300 * i},AP1,u1,5\n" for i in range(3)))
+        rc = cli.main(["trace", "--polls", str(polls), "--out", str(tmp_path / "o"),
+                       "--cadence", "300"])
+        assert rc == 1
+        assert "filter_window dropped all 3 records" in capsys.readouterr().err
+
+    def test_trace_non_positive_cadence_exit_1(self, tmp_path, capsys):
+        polls = tmp_path / "polls.csv"
+        polls.write_text("timestamp,ap,user,packets\n1073293200.0,AP1,u1,5\n")
+        rc = cli.main(["trace", "--polls", str(polls), "--out", str(tmp_path / "o"),
+                       "--cadence", "0"])
+        assert rc == 1
+        assert "cadence" in capsys.readouterr().err
+
+    def test_trace_writes_step_counts(self, tmp_path):
+        cfg = write_config(tmp_path, self._fixture_spec())
+        fix_out = tmp_path / "fix"
+        cli.main(["fixture", "--config", cfg, "--out", str(fix_out),
+                  "--seed", "3", "--days", "2", "--closed-users", "1"])
+        out = tmp_path / "trc"
+        assert cli.main(["trace", "--polls", str(fix_out / "polls.csv"),
+                         "--out", str(out), "--cadence", "300"]) == 0
+        run = json.loads((out / "run.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        steps = ["parse_polls", "filter_window", "filter_invalid_days",
+                 "resolve_multi_association", "pad_gaps", "classify_open_closed",
+                 "extract_sessions"]
+        assert list(run) == steps
+        for before, after in zip(steps, steps[1:]):
+            assert run[after]["rows_in"] == run[before]["rows_out"]
+        assert run["parse_polls"]["rows_out"] == report["records_in"]
+        assert run["extract_sessions"]["rows_out"] == report["sessions"]
+        assert run["classify_open_closed"]["closed_users"] == report["closed_users"] == 1
+        assert run["resolve_multi_association"]["multi_association_merged"] == 0
+        assert "run.json" not in report

@@ -1,11 +1,14 @@
 import io
 import math
+import time
 from collections import Counter
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import trace_reference as ref
 from multicell import cli, model, trace
 
 CAD = 300.0
@@ -28,7 +31,8 @@ class TestParsePolls:
         text = "timestamp,ap,user,packets\n100.0,AP1,u1,5\n200.0,AP2,u2,0\n300.0,AP1,u1,7\n"
         records, rejects = trace.parse_polls(io.StringIO(text))
         assert len(records) == 3 and rejects == []
-        assert records[0].ap == "AP1" and records[0].packets == 5
+        first = next(iter(records))
+        assert first.ap == "AP1" and first.packets == 5
 
     def test_negative_packets_rejected_with_line(self):
         text = "100.0,AP1,u1,5\n200.0,AP2,u2,-3\n300.0,AP1,u1,7\n"
@@ -57,6 +61,18 @@ class TestParsePolls:
                          (4, "AP1", "u1")])
         assert trace.infer_cadence(records) == CAD
 
+    def test_sub_microsecond_cadence_rejected(self):
+        records = [trace.PollRecord(MON9 + i * 1e-7, "AP1", "u1", 1) for i in range(3)]
+        with pytest.raises(trace.TraceInputError, match="rounds to 0"):
+            trace.infer_cadence(records)
+
+    def test_out_of_range_rows_rejected_with_line(self):
+        text = "1e12,AP1,u1,5\n100.0,AP1,u1,%d\n200.0,AP1,u1,1\n" % 2 ** 63
+        records, rejects = trace.parse_polls(io.StringIO(text))
+        assert len(records) == 1
+        assert [(line, "outside" in why or "above" in why) for line, _, why in rejects] == [
+            (1, True), (2, True)]
+
 
 class TestFilterWindow:
     def test_weekend_removed(self):
@@ -68,13 +84,13 @@ class TestFilterWindow:
         at9 = trace.PollRecord(MON9, "AP1", "u1", 1)
         at17 = trace.PollRecord(MON9 + 8 * 3600, "AP1", "u1", 1)
         kept = trace.filter_window([at9, at17], CFG)
-        assert kept == [at9]
+        assert list(kept) == [at9]
 
     def test_excluded_holiday_range(self):
         cfg = trace.PreprocessConfig(poll_cadence=CAD,
                                      excluded_date_ranges=(("2004-01-05", "2004-01-06"),))
         records = polls([(0, "AP1", "u1")])
-        assert trace.filter_window(records, cfg) == []
+        assert len(trace.filter_window(records, cfg)) == 0
 
 
 class TestFilterInvalidDays:
@@ -85,7 +101,7 @@ class TestFilterInvalidDays:
     def test_equal_days_untouched(self):
         records = self._day(0, 10) + self._day(1, 10) + self._day(2, 10)
         out, removed = trace.filter_invalid_days(records, CFG, CAD)
-        assert out == sorted(records, key=lambda r: (r.timestamp, r.ap, r.user))
+        assert sorted(out) == sorted(records)
         assert removed == {}
 
     def test_low_day_removed(self):
@@ -101,7 +117,7 @@ class TestFilterInvalidDays:
         records = self._day(0, 30) + self._day(1, 30) + self._day(2, 3)
         out, _ = trace.filter_invalid_days(records, CFG, CAD)
         out2, removed2 = trace.filter_invalid_days(out, CFG, CAD)
-        assert out2 == out and removed2 == {}
+        assert list(out2) == list(out) and removed2 == {}
 
     def test_per_ap_independent(self):
         records = self._day(0, 30, "AP1") + self._day(1, 30, "AP1") \
@@ -157,7 +173,7 @@ class TestResolveMultiAssociation:
 
     def test_distinct_users_untouched(self):
         records = polls([(0, "APA", "u1"), (0, "APB", "u2")])
-        assert trace.resolve_multi_association(records, CFG, CAD) == records
+        assert sorted(trace.resolve_multi_association(records, CFG, CAD)) == records
 
 
 class TestPadGaps:
@@ -173,7 +189,7 @@ class TestPadGaps:
     def test_twelve_minute_absence_not_padded(self):
         records = [trace.PollRecord(MON9, "APA", "u1", 1),
                    trace.PollRecord(MON9 + 720.0, "APA", "u1", 1)]
-        assert trace.pad_gaps(records, CFG, CAD) == records
+        assert list(trace.pad_gaps(records, CFG, CAD)) == records
 
     def test_reappearing_ap_gets_the_gap(self):
         cad = 60.0
@@ -367,3 +383,229 @@ class TestFixtureRoundTrip:
         resolved = trace.resolve_multi_association(records, CFG, CAD)
         # unique users never multi-associate in the fixture: count preserved
         assert len(resolved) == len(records)
+
+
+# ---------------------------------------------------------------------------
+# the columnar pipeline against the row-at-a-time reference
+# ---------------------------------------------------------------------------
+
+MON0 = MON9 - 9 * 3600.0   # Monday 2004-01-05 00:00 UTC
+
+
+class TestUtcDays:
+    def test_window_edges(self):
+        cfg = trace.PreprocessConfig(poll_cadence=CAD)
+        times = [MON9 - 1e-3, MON9, MON9 + 8 * 3600 - 1e-3, MON9 + 8 * 3600]
+        records = [trace.PollRecord(t, "AP1", "u1", 1) for t in times]
+        kept = [r.timestamp for r in trace.filter_window(records, cfg)]
+        assert kept == [MON9, MON9 + 8 * 3600 - 1e-3]
+
+    def test_microsecond_rounding(self):
+        # one float step below 09:00 is 0.24 us early: it rounds to 09:00:00
+        # and is kept; 1.2 us early rounds to 08:59:59.999999 and is dropped
+        just_below = float(np.nextafter(MON9, 0.0))
+        early = MON9 - 1.2e-6
+        records = [trace.PollRecord(t, "AP1", "u1", 1) for t in (just_below, early)]
+        kept = [r.timestamp for r in trace.filter_window(records, CFG)]
+        assert kept == [just_below]
+        assert [r.timestamp for r in ref.filter_window(records, CFG)] == kept
+
+    def test_rounding_carries_into_the_next_day(self):
+        saturday = MON0 + 5 * 86400.0
+        friday_late = float(np.nextafter(saturday, 0.0))
+        days = trace.observed_days([trace.PollRecord(friday_late, "AP1", "u1", 1)])
+        assert days == {"AP1": {"2004-01-10"}}
+
+    @given(st.one_of(
+        st.floats(min_value=-6.2e10, max_value=2.5e11, allow_nan=False),
+        st.builds(lambda day, tenth_micros: day * 86400.0 + tenth_micros * 1e-7,
+                  st.integers(-10_000, 100_000), st.integers(-12, 12))))
+    def test_day_and_second_match_datetime(self, t):
+        day, second = trace._utc_days([t])
+        dt = datetime.fromtimestamp(t, tz=timezone.utc)
+        assert trace._iso(int(day[0])) == dt.date().isoformat()
+        assert (int(day[0]) + 3) % 7 == dt.weekday()
+        assert second[0] == dt.hour * 3600 + dt.minute * 60 + dt.second + dt.microsecond / 1e6
+
+
+@st.composite
+def poll_lists(draw, cadence):
+    """Random polls over one Monday-to-Saturday week: up to four users at up
+    to four APs, with multi-association epochs (sometimes a repeated row),
+    missed polls, off-grid timestamps, rows before and after the working
+    window, weekend rows and, sometimes, a closed user."""
+    records = []
+    lo, hi = int(8.5 * 3600 // cadence), int(17.5 * 3600 // cadence)
+    for u in range(draw(st.integers(1, 4))):
+        day = draw(st.sampled_from([0, 1, 4, 5]))
+        k = draw(st.integers(lo, hi))
+        for _ in range(draw(st.integers(1, 25))):
+            k += draw(st.sampled_from([1, 1, 1, 1, 2, 3, 4, 5, 12]))
+            t = MON0 + day * 86400.0 + k * cadence + draw(st.sampled_from([0.0, 0.0, 0.0, 7.5]))
+            for ap in draw(st.lists(st.sampled_from("ABCD"), min_size=1, max_size=3)):
+                records.append(trace.PollRecord(t, "AP" + ap, f"u{u}", draw(st.integers(0, 9))))
+    if draw(st.booleans()):
+        n = int(8 * 3600 // cadence)
+        records += [trace.PollRecord(MON9 + i * cadence, "APA", "closed", 1) for i in range(n)]
+    return records
+
+
+def assert_same_rows(got, expected):
+    assert isinstance(got, trace.PollTable)
+    assert sorted(got) == sorted(expected)
+
+
+def assert_steps_match(records, cfg, cadence):
+    """Every step, fed the reference's input, equals the reference step."""
+    window = ref.filter_window(records, cfg)
+    assert_same_rows(trace.filter_window(records, cfg), window)
+    valid, removed = ref.filter_invalid_days(window, cfg, cadence)
+    got, got_removed = trace.filter_invalid_days(window, cfg, cadence)
+    assert_same_rows(got, valid)
+    assert got_removed == removed
+    resolved = ref.resolve_multi_association(valid, cfg, cadence)
+    assert_same_rows(trace.resolve_multi_association(valid, cfg, cadence), resolved)
+    padded = ref.pad_gaps(resolved, cfg, cadence)
+    assert_same_rows(trace.pad_gaps(resolved, cfg, cadence), padded)
+    classes = ref.classify_open_closed(padded, cfg, cadence)
+    assert trace.classify_open_closed(padded, cfg, cadence) == classes
+    assert (trace.extract_sessions(padded, cfg, cadence, users=classes[0])
+            == ref.extract_sessions(padded, cfg, cadence, users=classes[0]))
+    assert trace.observed_days(padded) == ref.observed_days(padded)
+
+
+def assert_pipelines_match(records, cfg):
+    try:
+        expected = ref.run_pipeline(records, cfg)
+    except ValueError:
+        with pytest.raises(ValueError):
+            trace.run_pipeline(records, cfg)
+        return
+    got = trace.run_pipeline(records, cfg)
+    assert got.cadence == expected.cadence
+    assert got.removed_days == expected.removed_days
+    assert (got.open_users, got.closed_users, got.closed_fraction) == \
+        (expected.open_users, expected.closed_users, expected.closed_fraction)
+    assert got.sessions == expected.sessions
+    assert got.stage_table == expected.stage_table
+    assert got.estimates == expected.estimates
+    assert got.arrival_series == expected.arrival_series
+    assert got.ap_days == expected.ap_days
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("cadence", [60.0, 300.0])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pipeline_equals_reference(self, cadence, data):
+        records = data.draw(poll_lists(cadence))
+        cfg = trace.PreprocessConfig(poll_cadence=cadence)
+        assert_steps_match(records, cfg, cadence)
+        assert_pipelines_match(records, cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(poll_lists(60.0))
+    def test_inferred_cadence_equals_reference(self, records):
+        try:
+            expected = ref.infer_cadence(records)
+        except ValueError:
+            with pytest.raises(trace.TraceInputError, match="cannot infer poll cadence"):
+                trace.infer_cadence(records)
+        else:
+            assert trace.infer_cadence(records) == expected
+        assert_pipelines_match(records, trace.PreprocessConfig())
+
+    def test_fixture_pipeline_equals_reference(self):
+        records, _ = cli.generate_fixture(demo_spec(), seed=6, days=4, closed_users=2,
+                                          bursty_cell=3, burst_size=10, bursts_per_day=4.0)
+        assert_pipelines_match(records, CFG)
+
+    def test_occupancy_equals_reference(self):
+        records, _ = cli.generate_fixture(demo_spec(), seed=2, days=2)
+        sessions = trace.run_pipeline(records, CFG).sessions
+        epochs = sorted({r.timestamp for r in records})
+        aps = ["AP001", "AP003"]
+        assert (trace.occupancy_snapshots(sessions, aps, epochs)
+                == ref.occupancy_snapshots(sessions, aps, epochs))
+
+
+@st.composite
+def histories(draw):
+    """Per-user poll histories at a 60 s cadence over three APs, where
+    excursions, absences and multi-association epochs are common."""
+    records, k = [], 0
+    for _ in range(draw(st.integers(1, 40))):
+        k += draw(st.sampled_from([0, 1, 1, 1, 2, 3, 4, 5, 6]))
+        records.append(trace.PollRecord(MON9 + k * 60.0, draw(st.sampled_from("ABC")),
+                                        draw(st.sampled_from(["u1", "u2"])),
+                                        draw(st.integers(0, 5))))
+    return records
+
+
+class TestPingPongFold:
+    @settings(max_examples=300, deadline=None)
+    @given(histories(), st.sampled_from([60.0, 120.0, 300.0, 600.0]))
+    def test_equals_restarting_oracle(self, records, limit):
+        cfg = trace.PreprocessConfig(poll_cadence=60.0, pingpong_return=limit)
+        assert_same_rows(trace.resolve_multi_association(records, cfg, 60.0),
+                         ref.resolve_multi_association(records, cfg, 60.0))
+
+    def test_adversarial_history_is_linear(self):
+        # 8,000 polls at distinct APs, then 8,000 alternating between two
+        # APs: every excursion folds, and a scan that restarts after each
+        # fold walks the 8,000 distinct runs again each time
+        cad = 60.0
+        cfg = trace.PreprocessConfig(poll_cadence=cad)
+        records = [trace.PollRecord(MON9 + i * cad, f"AP{i:05d}", "u1", 1) for i in range(8000)]
+        records += [trace.PollRecord(MON9 + (8000 + i) * cad, "APA" if i % 2 == 0 else "APB",
+                                     "u1", 1) for i in range(8000)]
+        counts = {}
+        start = time.perf_counter()
+        out = trace.resolve_multi_association(records, cfg, cad, counts=counts)
+        assert time.perf_counter() - start < 2.0
+        assert len(out) == 16000
+        assert counts == {"multi_association_merged": 0, "pingpong_filled": 0,
+                          "pingpong_reassigned": 3999}
+        assert [r.ap for r in out][8000:] == ["APA"] * 7999 + ["APB"]
+
+    def test_counts(self):
+        cad = 60.0
+        cfg = trace.PreprocessConfig(poll_cadence=cad)
+        entries = [(0, "APA"), (0, "APB"), (1, "APA"), (2, "APC"), (3, "APA"), (6, "APA")]
+        records = [trace.PollRecord(MON9 + i * cad, ap, "u1", 1) for i, ap in entries]
+        counts = {}
+        out = trace.resolve_multi_association(records, cfg, cad, counts=counts)
+        assert counts == {"multi_association_merged": 1, "pingpong_filled": 2,
+                          "pingpong_reassigned": 1}
+        assert [(r.timestamp - MON9, r.ap) for r in out] == [
+            (i * cad, "APA") for i in range(7)]
+
+
+class TestIdempotence:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([60.0, 300.0]).flatmap(
+        lambda cad: st.tuples(st.just(cad), poll_lists(cad))))
+    def test_table_steps(self, case):
+        cadence, records = case
+        cfg = trace.PreprocessConfig(poll_cadence=cadence)
+        window = trace.filter_window(records, cfg)
+        assert list(trace.filter_window(window, cfg)) == list(window)
+        padded = trace.pad_gaps(records, cfg, cadence)
+        assert list(trace.pad_gaps(padded, cfg, cadence)) == list(padded)
+        classes = trace.classify_open_closed(padded, cfg, cadence)
+        assert trace.classify_open_closed(padded, cfg, cadence) == classes
+
+    def test_fold_keeps_the_absences_around_an_excursion(self):
+        # APA, one poll at APB two cadences later, APA two cadences after
+        # that: the excursion is reassigned but the absences stay, so a second
+        # pass fills them as same-AP absences (the reference does the same)
+        cad = 60.0
+        cfg = trace.PreprocessConfig(poll_cadence=cad)
+        records = [trace.PollRecord(MON9 + i * cad, ap, "u1", 1)
+                   for i, ap in ((0, "APA"), (2, "APB"), (4, "APA"))]
+        once = trace.resolve_multi_association(records, cfg, cad)
+        twice = trace.resolve_multi_association(once, cfg, cad)
+        assert [r.timestamp - MON9 for r in once] == [0.0, 120.0, 240.0]
+        assert [r.timestamp - MON9 for r in twice] == [0.0, 60.0, 120.0, 180.0, 240.0]
+        assert_same_rows(twice, ref.resolve_multi_association(
+            ref.resolve_multi_association(records, cfg, cad), cfg, cad))
