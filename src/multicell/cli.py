@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -159,15 +160,55 @@ def cmd_simulate(args) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
-def read_snapshots_csv(path) -> list[tuple[int, ...]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)   # the time,y1..yN header
-        return [tuple(int(v) for v in row[1:]) for row in reader]
+def read_snapshots_csv(path) -> list[list[int]]:
+    """The count columns of a snapshot CSV (header ``time,y1,...,yN``), one
+    list per row. Counts must be non-negative integers; a malformed row
+    raises ValidationError with its line."""
+    try:
+        with open(path) as fh:
+            width = len(fh.readline().split(",")) - 1
+            if width < 1:
+                raise ValidationError(f"{path}: line 1: expected the header time,y1,...,yN")
+            row = np.dtype([("time", float), ("y", np.int64, (width,))])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # header-only file
+                counts = np.loadtxt(fh, dtype=row, delimiter=",", ndmin=1)["y"]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read snapshot file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {_bad_snapshot_line(path, width) or exc}") from exc
+    if not len(counts):
+        raise ValidationError(f"{path}: no snapshot rows after the header")
+    if (counts < 0).any():
+        raise ValidationError(f"{path}: {_bad_snapshot_line(path, width)}")
+    return counts.tolist()
+
+
+def _bad_snapshot_line(path, width: int) -> str | None:
+    """Where and why the first malformed or negative snapshot row fails."""
+    with open(path) as fh:
+        next(fh)
+        for n, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            if fields == [""]:
+                continue
+            if len(fields) != width + 1:
+                return f"line {n}: {len(fields)} fields, the header has {width + 1}"
+            try:
+                float(fields[0])
+                counts = [int(v) for v in fields[1:]]
+            except ValueError as exc:
+                return f"line {n}: {exc}"
+            bad = [v for v in counts if not 0 <= v < 2 ** 63]
+            if bad:
+                return f"line {n}: count {bad[0]} is not a non-negative 64-bit integer"
+    return None
 
 
 def cmd_compare(args) -> int:
     spec = _load_valid_spec(args.config)
+    if not Path(args.snapshots).is_file():
+        raise ValidationError(f"snapshot file not found: {args.snapshots}")
     out = Path(args.out)
     write_manifest(out, "compare", vars(args), [args.config, args.snapshots])
     spec = _discrete_spec(spec, args.discretize_samples, args.bin_width, args.seed)

@@ -1,8 +1,12 @@
 """Empirical distributions, entropy/KL metrics and arrival-process tests.
 
-All entropies and divergences are in bits (base-2 logs). Empirical
-distributions keep exact integer counts internally; probabilities are
-materialized on demand, so mass sums stay exact.
+All entropies and divergences are in bits (base-2 logs). An empirical
+distribution is one table: its distinct occupancy vectors as a ``(U, d)``
+int64 ``support``, rows in lexicographic order, and how often each occurred
+as ``(U,)`` int64 ``counts``. Counts stay exact integers; probabilities are
+formed only inside the metrics. Entropy and KL take one ``math`` log per
+distinct count and one Poisson log-pmf per distinct value of each
+coordinate, so they equal the row-by-row sums bit for bit.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,39 +23,39 @@ from .analytic import ProductForm
 INFINITE_DIVERGENCE = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     """Sparse probability mass over integer occupancy vectors."""
 
-    counts: tuple[tuple[tuple[int, ...], int], ...]
-    sample_count: int
-    dimension: int
+    support: np.ndarray     # (U, d) int64, distinct rows in lexicographic order
+    counts: np.ndarray      # (U,) int64, occurrences of each row
 
     @classmethod
-    def from_counter(cls, counter: Counter, dimension: int) -> "EmpiricalDistribution":
-        total = sum(counter.values())
-        if total == 0:
-            raise ValueError("empty sample")
-        return cls(tuple(sorted(counter.items())), total, dimension)
+    def from_rows(cls, rows, weights=None) -> "EmpiricalDistribution":
+        """Count the distinct rows of an ``(N, d)`` integer array, each row
+        adding its weight (default 1)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or len(rows) == 0:
+            raise ValueError("need a non-empty (N, d) array of count vectors")
+        low = rows.min(axis=0)
+        dims = (rows.max(axis=0) - low + 1).tolist()
+        if math.prod(dims) < 2 ** 62:
+            # one integer key per row, in the rows' lexicographic order
+            keys, inverse = np.unique(np.ravel_multi_index((rows - low).T, dims),
+                                      return_inverse=True)
+            support = np.column_stack(np.unravel_index(keys, dims)) + low
+        else:
+            support, inverse = np.unique(rows, axis=0, return_inverse=True)
+        counts = np.bincount(inverse.ravel(), weights=weights).astype(np.int64)
+        return cls(support, counts)
 
-    @classmethod
-    def from_vectors(cls, vectors) -> "EmpiricalDistribution":
-        counter: Counter = Counter()
-        dim = None
-        for v in vectors:
-            v = tuple(int(x) for x in v)
-            if dim is None:
-                dim = len(v)
-            elif len(v) != dim:
-                raise ValueError("inconsistent vector dimensions")
-            counter[v] += 1
-        if dim is None:
-            raise ValueError("empty sample")
-        return cls.from_counter(counter, dim)
+    @property
+    def sample_count(self) -> int:
+        return int(self.counts.sum())
 
-    def items(self):
-        for vec, c in self.counts:
-            yield vec, c / self.sample_count
+    @property
+    def dimension(self) -> int:
+        return self.support.shape[1]
 
     def project(self, coord_subset) -> "EmpiricalDistribution":
         """Marginal over the given 1-based coordinate indices, in order."""
@@ -60,62 +63,67 @@ class EmpiricalDistribution:
         for i in idx:
             if not 0 <= i < self.dimension:
                 raise ValueError(f"coordinate {i + 1} outside 1..{self.dimension}")
-        rows, weights = self._columns
-        cols = rows[:, idx]
-        low = cols.min(axis=0)
-        dims = tuple((cols.max(axis=0) - low + 1).tolist())
-        if math.prod(dims) < 2 ** 62:
-            # one integer key per row, in the rows' lexicographic order
-            keys, inverse = np.unique(np.ravel_multi_index((cols - low).T, dims),
-                                      return_inverse=True)
-            vecs = np.column_stack(np.unravel_index(keys, dims)) + low
-        else:
-            vecs, inverse = np.unique(cols, axis=0, return_inverse=True)
-        mass = np.bincount(inverse.ravel(), weights=weights).astype(np.int64)
-        return EmpiricalDistribution(tuple(zip(map(tuple, vecs.tolist()), mass.tolist())),
-                                     self.sample_count, len(idx))
-
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The support as an (U, d) int array and the counts as (U,) floats."""
-        vecs, counts = zip(*self.counts)
-        return np.array(vecs, dtype=np.int64).reshape(-1, self.dimension), np.array(counts, float)
+        return EmpiricalDistribution.from_rows(self.support[:, idx], self.counts)
 
 
 def empirical_joint(snapshots, cell_subset=None) -> EmpiricalDistribution:
-    """Relative-frequency joint over the (optionally projected) snapshots.
+    """Relative-frequency joint of count vectors, optionally projected.
 
-    ``snapshots`` may be OccupancySnapshot objects or plain count vectors;
-    ``cell_subset`` holds 1-based cell indices.
+    ``snapshots`` is an ``(N, d)`` array or a sequence of equal-length count
+    vectors; ``cell_subset`` holds 1-based cell indices.
     """
-    vectors = []
-    for s in snapshots:
-        vec = s.cell_counts if hasattr(s, "cell_counts") else tuple(s)
-        if cell_subset is not None:
-            vec = tuple(vec[i - 1] for i in cell_subset)
-        vectors.append(vec)
-    if not vectors:
-        raise ValueError("empty snapshot list")
-    return EmpiricalDistribution.from_vectors(vectors)
+    rows = np.asarray(snapshots, dtype=np.int64)
+    if cell_subset is not None:
+        rows = rows[:, [i - 1 for i in cell_subset]]
+    return EmpiricalDistribution.from_rows(rows)
+
+
+def _entropy_of_counts(counts: list[int]) -> float:
+    """Plug-in entropy -sum p log2 p in bits, p = counts / sum(counts), with
+    one log per distinct count and an exactly rounded sum."""
+    n = sum(counts)
+    terms = {c: (c / n) * math.log2(c / n) for c in set(counts)}
+    return -math.fsum(map(terms.__getitem__, counts))
 
 
 def entropy(dist: EmpiricalDistribution) -> float:
     """Shannon entropy of the empirical mass, in bits."""
-    n = dist.sample_count
-    return -math.fsum((c / n) * math.log2(c / n) for _, c in dist.counts)
+    return _entropy_of_counts(dist.counts.tolist())
+
+
+def _kl_bits(support: np.ndarray, counts: np.ndarray, means) -> float:
+    """KL in bits of the mass counts / sum(counts) on the rows of ``support``
+    against independent Poissons with ``means``, summed left to right over
+    the rows in the order given. Follows ``ProductForm.logpmf``: a negative
+    count raises ValueError, and a non-zero count in a zero-mean coordinate
+    makes the divergence infinite, whichever comes first row by row."""
+    if support.shape[1] != len(means):
+        raise ValueError(f"counts length {support.shape[1]} != dimension {len(means)}")
+    bad = (support < 0) | ((np.asarray(means) == 0.0) & (support != 0))
+    if bad.any():
+        r = int(np.argmax(bad.any(axis=1)))
+        y = int(support[r, np.argmax(bad[r])])
+        if y < 0:
+            raise ValueError(f"invalid count {y!r}")
+        return INFINITE_DIVERGENCE
+    logq = np.zeros(len(support))
+    for j, m in enumerate(means):
+        if m == 0.0:
+            continue
+        values, inverse = np.unique(support[:, j], return_inverse=True)
+        logq += np.array([-m + y * math.log(m) - math.lgamma(y + 1)
+                          for y in values.tolist()])[inverse]
+    n = int(counts.sum())
+    values, inverse = np.unique(counts, return_inverse=True)
+    p = np.array([c / n for c in values.tolist()])[inverse]
+    log2p = np.array([math.log2(c / n) for c in values.tolist()])[inverse]
+    # cumsum adds strictly left to right, as a scalar += loop does
+    return float(np.cumsum(p * (log2p - logq / math.log(2)))[-1])
 
 
 def kl_divergence(P: EmpiricalDistribution, Q: ProductForm) -> float:
     """KL(P || Q) in bits; infinite when Q has zero mass on P's support."""
-    n = P.sample_count
-    total = 0.0
-    for vec, c in P.counts:
-        p = c / n
-        logq = Q.logpmf(vec)
-        if logq == -math.inf:
-            return INFINITE_DIVERGENCE
-        total += p * (math.log2(p) - logq / math.log(2))
-    return total
+    return _kl_bits(P.support, P.counts, Q.means)
 
 
 def entropy_gap(joint: EmpiricalDistribution) -> float:
@@ -142,12 +150,6 @@ class TestReport:
             raise ValueError("pass flag inconsistent with statistic/threshold")
 
 
-def _entropy_of_counts(values) -> float:
-    c = Counter(values)
-    n = len(values)
-    return -math.fsum((v / n) * math.log2(v / n) for v in c.values())
-
-
 def independence_test(arrival_counts, interval: float = 3600.0,
                       threshold: float = 0.15) -> TestReport:
     """Normalized entropy gap between one-interval counts and consecutive
@@ -155,9 +157,8 @@ def independence_test(arrival_counts, interval: float = 3600.0,
     counts = [int(c) for c in arrival_counts]
     if len(counts) < 2:
         raise ValueError("need at least 2 intervals")
-    h1 = _entropy_of_counts(counts)
-    pairs = list(zip(counts[:-1], counts[1:]))
-    h2 = _entropy_of_counts(pairs)
+    h1 = _entropy_of_counts(list(Counter(counts).values()))
+    h2 = _entropy_of_counts(list(Counter(zip(counts[:-1], counts[1:])).values()))
     if h2 == 0.0:
         return TestReport("independence", None, threshold, None,
                           len(counts), interval, degenerate=True)
@@ -175,19 +176,13 @@ def poisson_dist_test(arrival_counts, interval: float = 3600.0,
     if not counts:
         raise ValueError("need at least 1 interval")
     total = sum(counts)
-    h1 = _entropy_of_counts(counts)
+    freq = Counter(counts)    # first-occurrence order, which fixes the KL sum's last digit
+    h1 = _entropy_of_counts(list(freq.values()))
     if total == 0 or h1 == 0.0:
         return TestReport("poisson_dist", None, threshold, None,
                           len(counts), interval, degenerate=True)
-    mean = total / len(counts)
-    freq = Counter(counts)
-    n = len(counts)
-    h0 = 0.0
-    for value, c in freq.items():
-        p = c / n
-        logq = -mean + value * math.log(mean) - math.lgamma(value + 1)
-        h0 += p * (math.log2(p) - logq / math.log(2))
-    theta = h0 / h1
+    theta = _kl_bits(np.array(list(freq), dtype=np.int64)[:, None],
+                     np.array(list(freq.values())), (total / len(counts),)) / h1
     return TestReport("poisson_dist", theta, threshold, theta < threshold,
                       len(counts), interval)
 

@@ -710,12 +710,12 @@ def exclusion_modes(sessions, invalid_aps: set[str], mode: int,
     return out, excluded
 
 
-def occupancy_snapshots(sessions, aps: list[str], epochs) -> list[tuple[int, ...]]:
+def occupancy_snapshots(sessions, aps: list[str], epochs) -> np.ndarray:
     """Re-sample attachment state: per epoch, users attached per AP.
 
     A user counts toward an AP at time t when some stage has
-    entry <= t < exit. Returns one count vector per epoch in time order,
-    AP order as given.
+    entry <= t < exit. Returns a ``(T, A)`` int64 matrix: one row per epoch
+    in time order, one column per AP in the order given.
     """
     ap_index = {ap: i for i, ap in enumerate(aps)}
     stages = [(ap_index[ap], e, x) for s in sessions for ap, e, x in s.stages
@@ -728,7 +728,7 @@ def occupancy_snapshots(sessions, aps: list[str], epochs) -> list[tuple[int, ...
             at = idx == i
             counts[:, i] = (np.searchsorted(np.sort(entry[at]), times, side="right")
                             - np.searchsorted(np.sort(exit_[at]), times, side="right"))
-    return [tuple(row) for row in counts.tolist()]
+    return counts
 
 
 @dataclass

@@ -38,7 +38,9 @@ def criterion(number: int, name: str, budget: float):
 def symmetric_kl(a: stats.EmpiricalDistribution, b: stats.EmpiricalDistribution) -> float:
     """Symmetric KL (bits) between two empiricals, renormalized to their
     common support; the mass outside it is negligible at these sample sizes."""
-    pa, pb = dict(a.items()), dict(b.items())
+    pa, pb = ({vec: c / e.sample_count
+               for vec, c in zip(map(tuple, e.support.tolist()), e.counts.tolist())}
+              for e in (a, b))
     common = set(pa) & set(pb)
     wa = math.fsum(pa[v] for v in common)
     wb = math.fsum(pb[v] for v in common)

@@ -181,6 +181,34 @@ class TestCompare:
         assert rc == 1
 
 
+class TestCompareBadSnapshots:
+    @pytest.mark.parametrize("text, message", [
+        ("time,y1,y2\n0.0,1,2\n10.0,x,2\n", "line 3: invalid literal for int() with base 10: 'x'"),
+        ("time,y1,y2\n", "no snapshot rows after the header"),
+        ("time,y1,y2\n0.0,1,2\n10.0,1,2\n20.0,1,-1\n",
+         "line 4: count -1 is not a non-negative 64-bit integer"),
+        ("time,y1,y2\n0.0,1,2\n10.0,1\n", "line 3: 2 fields, the header has 3"),
+        ("time,y1,y2\n0.0,1,2,3\n", "line 2: 4 fields, the header has 3"),
+    ], ids=["non-integer", "header-only", "negative", "short-row", "long-row"])
+    def test_bad_rows_exit_1_with_line(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, two_cell_spec())
+        snaps = tmp_path / "snapshots.csv"
+        snaps.write_text(text)
+        rc = cli.main(["compare", "--config", cfg, "--snapshots", str(snaps),
+                       "--out", str(tmp_path / "cmp"), "--repeats", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(snaps) in err and message in err
+
+    def test_missing_snapshots_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, two_cell_spec())
+        missing = tmp_path / "absent.csv"
+        rc = cli.main(["compare", "--config", cfg, "--snapshots", str(missing),
+                       "--out", str(tmp_path / "cmp")])
+        assert rc == 1
+        assert f"snapshot file not found: {missing}" in capsys.readouterr().err
+
+
 class TestFixtureAndTrace:
     def _fixture_spec(self):
         # cadence-multiple holds so the pipeline recovers stages exactly

@@ -36,10 +36,8 @@ class TestSampleSession:
         law = model.DiscreteSessionLaw(
             p, (((1.0, (1.0,)),), ((1.0, (1.0, 1.0)),), ((1.0, (1.0, 1.0, 1.0)),)))
         n = 200_000
-        counts = np.zeros(3)
-        for _ in range(n):
-            k, _holds = sim.sample_session(law, rng)
-            counts[k - 1] += 1
+        stages, _holds = model.sample_sessions(law, n, rng)
+        counts = np.bincount(stages - 1, minlength=3)
         for k in range(3):
             sigma = math.sqrt(p[k] * (1 - p[k]) / n)
             assert counts[k] / n == pytest.approx(p[k], abs=3.5 * sigma)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import stats_reference as ref
 from multicell import analytic, stats
 
 
@@ -10,17 +12,24 @@ def poisson_samples(rng, mean, n, dim=1):
     return [tuple(int(x) for x in rng.poisson(mean, size=dim)) for _ in range(n)]
 
 
+def as_pairs(dist):
+    """The distribution as sorted (vector, count) pairs."""
+    return list(zip(map(tuple, dist.support.tolist()), dist.counts.tolist()))
+
+
 class TestEmpiricalJoint:
     def test_relative_frequency(self):
         emp = stats.empirical_joint([[0], [0], [1], [1]])
-        assert dict(emp.items()) == {(0,): 0.5, (1,): 0.5}
+        assert emp.support.tolist() == [[0], [1]]
+        assert (emp.counts / emp.sample_count).tolist() == [0.5, 0.5]
         assert emp.sample_count == 4
 
     def test_projection_commutes_with_counting(self, rng):
         snaps = [tuple(rng.integers(0, 4, size=2)) for _ in range(500)]
         direct = stats.empirical_joint(snaps, cell_subset=[2])
         projected = stats.empirical_joint(snaps).project([2])
-        assert direct == projected
+        assert direct.support.tolist() == projected.support.tolist()
+        assert direct.counts.tolist() == projected.counts.tolist()
 
     @pytest.mark.parametrize("subset", [[3, 1], [2, 3, 1], [1, 2, 3]])
     def test_projection_matches_counting_oracle(self, rng, subset):
@@ -33,7 +42,7 @@ class TestEmpiricalJoint:
             key = tuple(v[i - 1] for i in subset)
             oracle[key] = oracle.get(key, 0) + 1
         projected = stats.empirical_joint(snaps).project(subset)
-        assert projected.counts == tuple(sorted(oracle.items()))
+        assert as_pairs(projected) == sorted(oracle.items())
         assert projected.dimension == len(subset)
 
     def test_sampled_poisson_close_to_model(self, rng):
@@ -79,8 +88,8 @@ class TestKLDivergence:
         # build an empirical whose frequencies equal the model pmf exactly
         n = 10_000_000
         counter = {vec: round(p * n) for vec, p in counts.items() if round(p * n)}
-        emp = stats.EmpiricalDistribution(
-            tuple(sorted(counter.items())), sum(counter.values()), 1)
+        emp = stats.EmpiricalDistribution.from_rows(
+            list(counter), weights=list(counter.values()))
         assert stats.kl_divergence(emp, form) == pytest.approx(0.0, abs=1e-6)
 
     def test_infinite_on_zero_mean_support_mismatch(self):
@@ -231,6 +240,79 @@ class TestRandomSubsetStudy:
         a = stats.random_subset_study(emp, form, 2, 10, np.random.default_rng(3))
         b = stats.random_subset_study(emp, form, 2, 10, np.random.default_rng(3))
         assert a == b
+
+
+@st.composite
+def row_sets(draw):
+    """Count vectors with Poisson means: small counts, and per example one
+    of counts far above the means, counts whose key range reaches 2**62
+    (the row-sort fallback), or negative counts; some means are zero."""
+    d = draw(st.integers(1, 4))
+    cell = st.integers(0, 6)
+    extra = draw(st.sampled_from([None, "far", "huge", "negative"]))
+    if extra == "far":
+        cell = st.one_of(cell, st.integers(40, 400))
+    elif extra == "huge":
+        cell = st.one_of(cell, st.sampled_from([2**40, 2**61, 2**62]))
+    elif extra == "negative":
+        cell = st.one_of(cell, st.integers(-3, -1))
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=1, max_size=80))
+    means = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 8.0)),
+                          min_size=d, max_size=d))
+    return rows, tuple(means)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+class TestAgainstReference:
+    """The array metrics equal the tuple-and-Counter reference exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_sets(), st.randoms(use_true_random=False))
+    def test_metrics_equal_reference(self, case, random):
+        rows, means = case
+        emp = stats.empirical_joint(rows)
+        expected = ref.empirical_joint(rows)
+        assert as_pairs(emp) == list(expected)
+        assert emp.sample_count == len(rows) and emp.dimension == len(means)
+        assert stats.entropy(emp) == ref.entropy(expected)
+        form = analytic.ProductForm(means)
+        assert outcome(stats.kl_divergence, emp, form) == outcome(ref.kl_divergence, expected, form)
+
+        subset = random.sample(range(1, len(means) + 1), random.randint(1, len(means)))
+        projected = emp.project(subset)
+        expected = ref.project(expected, subset)
+        assert as_pairs(projected) == list(expected)
+        assert stats.entropy(projected) == ref.entropy(expected)
+        sub_form = analytic.ProductForm(tuple(means[i - 1] for i in subset))
+        assert (outcome(stats.kl_divergence, projected, sub_form)
+                == outcome(ref.kl_divergence, expected, sub_form))
+
+    @pytest.mark.parametrize("rows, means, expected", [
+        ([[0, 0], [2, 1]], (1.0, 0.0), math.inf),
+        ([[0, 0], [-1, 0]], (1.0, 0.0), ValueError),
+        # rows in lexicographic order, coordinates left to right: the first
+        # zero-mean mismatch or negative count decides, as in logpmf
+        ([[0, 1], [5, -1]], (1.0, 0.0), math.inf),
+        ([[0, 1], [0, -1]], (1.0, 0.0), ValueError),
+        ([[-1, 1]], (0.0, 0.0), ValueError),
+    ])
+    def test_zero_mean_cells_and_negative_counts(self, rows, means, expected):
+        form = analytic.ProductForm(means)
+        assert outcome(stats.kl_divergence, stats.empirical_joint(rows), form) == expected
+        assert outcome(ref.kl_divergence, ref.empirical_joint(rows), form) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 12), st.sampled_from([0, 10, 20, 30])),
+                    min_size=2, max_size=120))
+    def test_arrival_statistics_equal_reference(self, counts):
+        assert stats.independence_test(counts).statistic == ref.independence_statistic(counts)
+        assert stats.poisson_dist_test(counts).statistic == ref.poisson_dist_statistic(counts)
 
 
 class TestEffectiveSampleSize:

@@ -338,7 +338,8 @@ class TestOccupancySnapshots:
             trace.SessionRecord("u2", (("AP1", 300.0, 900.0), ("AP2", 900.0, 1200.0))),
         ]
         snaps = trace.occupancy_snapshots(sessions, ["AP1", "AP2"], [0.0, 300.0, 600.0, 900.0])
-        assert snaps == [(1, 0), (2, 0), (1, 0), (0, 1)]
+        assert snaps.dtype == np.int64
+        assert snaps.tolist() == [[1, 0], [2, 0], [1, 0], [0, 1]]
 
 
 def demo_spec():
@@ -525,7 +526,7 @@ class TestAgainstReference:
         sessions = trace.run_pipeline(records, CFG).sessions
         epochs = sorted({r.timestamp for r in records})
         aps = ["AP001", "AP003"]
-        assert (trace.occupancy_snapshots(sessions, aps, epochs)
+        assert ([tuple(row) for row in trace.occupancy_snapshots(sessions, aps, epochs).tolist()]
                 == ref.occupancy_snapshots(sessions, aps, epochs))
 
 
