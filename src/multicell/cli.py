@@ -19,10 +19,9 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
+import time
 import warnings
-from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -39,6 +38,19 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, default=str)
+        fh.write("\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_manifest(outdir: Path, subcommand: str, args: dict, inputs: list) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -48,16 +60,18 @@ def write_manifest(outdir: Path, subcommand: str, args: dict, inputs: list) -> N
         "arguments": {k: v for k, v in sorted(args.items()) if k not in ("func",)},
         "input_digests": {str(p): _digest(p) for p in inputs},
     }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
-        fh.write("\n")
+    _write_json(outdir / "manifest.json", manifest)
 
 
 def _load_valid_spec(path) -> model.NetworkSpec:
-    spec = model.load_spec(path)
+    try:
+        spec = model.load_spec(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:   # ValueError: not JSON too
+        problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"cannot load network config {path}: {problem}") from exc
     problems = model.validate(spec)
     if problems:
-        raise ValidationError("invalid network config:\n  " + "\n  ".join(problems))
+        raise ValidationError(f"invalid network config {path}:\n  " + "\n  ".join(problems))
     return spec
 
 
@@ -87,31 +101,23 @@ def cmd_analyze(args) -> int:
     write_manifest(out, "analyze", vars(args), [args.config])
     spec = _discrete_spec(spec, args.discretize_samples, args.bin_width, args.seed)
 
-    warnings = []
-    with open(out / "stage_means.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["route", "stage", "cell", "invariant_measure", "hold_mean",
-                    "occupancy_mean"])
-        for l, rs in enumerate(spec.routes, start=1):
-            sm = analytic.stage_means(rs)
-            reachable = set(sm.stages)
-            for j in range(1, rs.route.n_stages + 1):
-                if j not in reachable:
-                    warnings.append(f"route {l} stage {j} is unreachable "
-                                    f"(zero survival probability)")
-            for j, wp, tb, wj in zip(sm.stages, sm.w_prime, sm.t_bar, sm.w):
-                w.writerow([l, j, rs.route.cells[j - 1], repr(wp), repr(tb), repr(wj)])
+    warnings, rows = [], []
+    for l, rs in enumerate(spec.routes, start=1):
+        sm = analytic.stage_means(rs)
+        warnings += [f"route {l} stage {j} is unreachable (zero survival probability)"
+                     for j in range(1, rs.route.n_stages + 1) if j not in sm.stages]
+        rows += [[l, j, rs.route.cells[j - 1], repr(wp), repr(tb), repr(wj)]
+                 for j, wp, tb, wj in zip(sm.stages, sm.w_prime, sm.t_bar, sm.w)]
+    _write_csv(out / "stage_means.csv", ["route", "stage", "cell", "invariant_measure",
+                                         "hold_mean", "occupancy_mean"], rows)
 
     cm = analytic.cell_means(spec)
     analytic.write_cell_means_csv(cm, out / "cell_means.csv")
 
-    with open(out / "cell_pmf.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cell", "count", "probability"])
-        for n, m in enumerate(cm.poisson_mean, start=1):
-            form = analytic.ProductForm((m,))
-            for y in range(analytic.poisson_truncation(m) + 1):
-                w.writerow([n, y, repr(form.pmf((y,)))])
+    _write_csv(out / "cell_pmf.csv", ["cell", "count", "probability"],
+               ([n, y, repr(analytic.ProductForm((m,)).pmf((y,)))]
+                for n, m in enumerate(cm.poisson_mean, start=1)
+                for y in range(analytic.poisson_truncation(m) + 1)))
 
     for warning in warnings:
         print(f"warning: {warning}")
@@ -141,16 +147,13 @@ def cmd_simulate(args) -> int:
     emp_mean = counts.mean(axis=0)
     all_discrete = all(isinstance(rs.law, model.DiscreteSessionLaw) for rs in spec.routes)
     analytic_means = analytic.cell_means(spec).poisson_mean if all_discrete else None
-    with open(out / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cell", "empirical_mean", "analytic_mean", "relative_error"])
-        for n in range(spec.cell_count):
-            if analytic_means is not None and analytic_means[n] > 0:
-                rel = abs(emp_mean[n] - analytic_means[n]) / analytic_means[n]
-                w.writerow([n + 1, repr(float(emp_mean[n])),
-                            repr(analytic_means[n]), repr(float(rel))])
-            else:
-                w.writerow([n + 1, repr(float(emp_mean[n])), "", ""])
+    rows = []
+    for n in range(spec.cell_count):
+        m = analytic_means[n] if analytic_means is not None else 0.0
+        rel = [repr(m), repr(float(abs(emp_mean[n] - m) / m))] if m > 0 else ["", ""]
+        rows.append([n + 1, repr(float(emp_mean[n])), *rel])
+    _write_csv(out / "summary.csv",
+               ["cell", "empirical_mean", "analytic_mean", "relative_error"], rows)
     print(f"simulate: {len(pooled)} snapshots over {cfg.replications} "
           f"replication(s) written to {out}")
     return 0
@@ -236,12 +239,9 @@ def cmd_compare(args) -> int:
         gap = (study.h_gap_mean, study.h_gap_std) if n > 1 else ("", "")
         rows.append((n, study.h_kl_mean, study.h_kl_std, *gap,
                      study.h_real_mean, study.h_real_std))
-    with open(out / "subset_metrics.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "h_kl_mean", "h_kl_std", "h_gap_mean", "h_gap_std",
-                    "h_real_mean", "h_real_std"])
-        for row in rows:
-            w.writerow([row[0]] + [repr(v) if v != "" else "" for v in row[1:]])
+    _write_csv(out / "subset_metrics.csv", ["n", "h_kl_mean", "h_kl_std", "h_gap_mean",
+                                            "h_gap_std", "h_real_mean", "h_real_std"],
+               ([row[0]] + [repr(v) if v != "" else "" for v in row[1:]] for row in rows))
     print(f"compare: subset metrics for n={sizes} written to {out}")
     return 0
 
@@ -254,10 +254,10 @@ def ap_name(cell: int) -> str:
     return f"AP{cell:03d}"
 
 
-def _working_day_starts(n_days: int, cfg: trace.PreprocessConfig,
-                        first_day: str = "2004-01-05") -> list[float]:
-    """UTC timestamps of the working-window start for the first n weekdays."""
-    day = datetime.fromisoformat(first_day).replace(tzinfo=timezone.utc)
+def _working_day_starts(n_days: int, cfg: trace.PreprocessConfig) -> list[float]:
+    """UTC timestamps of the working-window start for the first n weekdays
+    from Monday 2004-01-05."""
+    day = datetime(2004, 1, 5, tzinfo=timezone.utc)
     out = []
     while len(out) < n_days:
         if day.weekday() in cfg.weekdays:
@@ -266,143 +266,155 @@ def _working_day_starts(n_days: int, cfg: trace.PreprocessConfig,
     return out
 
 
-def _stage_polls(user: str, ap: str, entry: float, exit_: float,
-                 cadence: float, packets: int) -> list[trace.PollRecord]:
-    out = []
-    i = math.ceil((entry - 1e-9) / cadence)
-    while i * cadence < exit_ - 1e-9:
-        out.append(trace.PollRecord(i * cadence, ap, user, packets))
-        i += 1
-    return out
+def _poll_grid(entry: np.ndarray, exit_: np.ndarray, cadence: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The polls of stages held on [entry, exit), in stage then time order:
+    per poll, its stage and its epoch index i, for every
+    i >= ceil((entry - 1e-9) / cadence) with i * cadence < exit - 1e-9."""
+    first = np.ceil((entry - 1e-9) / cadence)
+    # a stage has at most (exit - entry) / cadence + 1 polls, and the test
+    # keeps a prefix of its candidates because i * cadence grows with i
+    n = np.ceil((exit_ - entry) / cadence).astype(np.int64) + 2
+    stage = np.repeat(np.arange(len(n)), n)
+    epoch = first[stage] + np.arange(len(stage)) - np.repeat(np.cumsum(n) - n, n)
+    keep = epoch * cadence < (exit_ - 1e-9)[stage]
+    return stage[keep], epoch[keep]
 
 
-def generate_fixture(spec: model.NetworkSpec, seed: int, days: int,
-                     cadence: float = 300.0,
-                     closed_users: int = 0,
-                     bursty_cell: int | None = None,
-                     burst_size: int = 10,
-                     bursts_per_day: float = 6.0,
-                     pcfg: trace.PreprocessConfig | None = None
-                     ) -> tuple[list[trace.PollRecord], dict]:
+def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: float = 300.0,
+                     closed_users: int = 0, bursty_cell: int | None = None,
+                     burst_size: int = 10, bursts_per_day: float = 6.0,
+                     counts: dict | None = None) -> tuple[trace.PollTable, dict]:
     """Synthetic polling trace with known ground truth.
 
     Per working day, one independent simulation replication fills the
     working window; sessions that would cross the window boundary are
-    dropped (and not counted in the ground truth). Optionally adds
-    always-present closed users and a bursty cell receiving batched
-    one-stage arrivals, for exercising the classifier and the Poisson
-    tests.
+    dropped (and not counted in the ground truth). A stage held on
+    [entry, exit) is polled at every multiple of the cadence in that
+    interval, so a stage shorter than the cadence may get no poll.
+    Optionally adds always-present closed users and a bursty cell receiving
+    batched one-stage arrivals, for exercising the classifier and the
+    Poisson tests. If ``counts`` is a dict, it receives the sessions
+    sampled, dropped, burst and in total, and the stage and closed-user
+    polls.
     """
-    pcfg = pcfg or trace.PreprocessConfig(poll_cadence=cadence)
+    pcfg = trace.PreprocessConfig(poll_cadence=cadence)
     window = pcfg.work_end - pcfg.work_start
     day_starts = _working_day_starts(days, pcfg)
     rng = np.random.default_rng(seed)
-
-    records: list[trace.PollRecord] = []
-    table: Counter = Counter()
-    per_ap_entries: Counter = Counter()
-    per_ap_new: Counter = Counter()
-    per_ap_hold: Counter = Counter()
-    users: set[str] = set()
-    burst_ap = ap_name(bursty_cell) if bursty_cell is not None else None
-    sessions_total = 0
-
     run_cfg = sim.SimConfig(horizon=window, warmup=0.0, snapshot_interval=window,
                             seed=seed)
+    ap_index = {ap_name(c): c - 1 for c in range(1, spec.cell_count + 1)}
+    burst_ap = ap_name(bursty_cell) if bursty_cell is not None else None
+    burst_code = ap_index.setdefault(burst_ap, len(ap_index)) if burst_ap else None
+    K = max(rs.route.n_stages for rs in spec.routes)
+    ap_of = np.array([rs.route.cells + (1,) * (K - rs.route.n_stages)
+                      for rs in spec.routes]) - 1
+
+    # per kept session, day by day (in arrival order, then the day's bursts):
+    # first entry, holds, stage count, stage APs; truth sums add in this order
+    rows = [(np.zeros(0), np.zeros((0, K)), np.zeros(0, dtype=np.int64),
+             np.zeros((0, K), dtype=np.int64))]
+    users: list[str] = []
+    sampled = bursts = 0
     for d, day0 in enumerate(day_starts):
         log = sim.emit_event_log(spec, run_cfg, replication=d)
-        for ev in log:
-            if ev.arrival_time + sum(ev.holding_times) >= window:
-                continue   # would cross the window boundary; keep truth exact
-            user = f"u{d:03d}_{ev.session_id:06d}"
-            users.add(user)
-            sessions_total += 1
-            table[ev.stage_count] += 1
-            t = day0 + ev.arrival_time
-            cells = spec.routes[ev.route - 1].route.cells
-            for j, h in enumerate(ev.holding_times, start=1):
-                ap = ap_name(cells[j - 1])
-                records.extend(_stage_polls(user, ap, t, t + h, cadence, 10))
-                per_ap_entries[ap] += 1
-                per_ap_hold[ap] += h
-                if j == 1:
-                    per_ap_new[ap] += 1
-                t += h
-
-        for i in range(closed_users):
-            user = f"closed{i:02d}"
-            users.add(user)
-            n_epochs = int(window // cadence)
-            for e in range(n_epochs):
-                records.append(trace.PollRecord(day0 + e * cadence,
-                                                ap_name(1), user, 10))
-
+        sampled += len(log)
+        # a session that would cross the window boundary is dropped; truth stays exact
+        kept = np.flatnonzero(log.arrival + np.cumsum(log.holds, axis=1)[:, -1] < window)
+        rows.append((day0 + log.arrival[kept], log.holds[kept], log.stages[kept],
+                     ap_of[log.route[kept] - 1]))
+        users += [f"u{d:03d}_{i:06d}" for i in kept.tolist()]
         if burst_ap is not None:
-            n_bursts = rng.poisson(bursts_per_day)
-            for b in range(n_bursts):
-                t0 = day0 + float(rng.uniform(0, window - 3 * cadence))
-                for u in range(burst_size):
-                    user = f"burst{d:03d}_{b:02d}_{u:02d}"
-                    users.add(user)
-                    sessions_total += 1
-                    table[1] += 1
-                    per_ap_entries[burst_ap] += 1
-                    per_ap_new[burst_ap] += 1
-                    per_ap_hold[burst_ap] += 2 * cadence
-                    records.extend(_stage_polls(user, burst_ap, t0,
-                                                t0 + 2 * cadence, cadence, 10))
+            t0 = day0 + rng.uniform(0, window - 3 * cadence, rng.poisson(bursts_per_day))
+            n = len(t0) * burst_size
+            bursts += n
+            rows.append((np.repeat(t0, burst_size),
+                         np.full((n, K), [2 * cadence] + [0.0] * (K - 1)),
+                         np.ones(n, dtype=np.int64), np.full((n, K), burst_code)))
+            users += [f"burst{d:03d}_{b:02d}_{u:02d}"
+                      for b in range(len(t0)) for u in range(burst_size)]
+    start, holds, stages, aps = (np.concatenate(c) for c in zip(*rows))
+    closed = [f"closed{i:02d}" for i in range(closed_users)]
+    users += closed
 
-    for i in range(closed_users):
-        users.add(f"closed{i:02d}")
-    records.sort(key=lambda r: (r.timestamp, r.ap, r.user))
+    visited = np.arange(K) < stages[:, None]
+    bounds = np.cumsum(np.column_stack([start, holds]), axis=1)
+    visit, epoch = _poll_grid(bounds[:, :-1][visited], bounds[:, 1:][visited], cadence)
+    n_epochs = int(window // cadence)
+    closed_t = np.repeat(np.add.outer(day_starts, np.arange(n_epochs) * cadence),
+                         closed_users, axis=0).ravel()
+    closed_user = len(users) - closed_users + np.repeat(
+        np.tile(np.arange(closed_users), len(day_starts)), n_epochs)
+    user_index = {name: i for i, name in enumerate(users)}
+    polls = trace.PollTable.from_codes(
+        np.concatenate([epoch * cadence, closed_t]),
+        np.concatenate([aps[visited][visit], np.full(len(closed_t), ap_index[ap_name(1)])]),
+        ap_index, np.concatenate([np.nonzero(visited)[0][visit], closed_user]), user_index,
+        np.full(len(visit) + len(closed_t), 10))
+
+    entries = np.bincount(aps[visited], minlength=len(ap_index)).tolist()
+    new_arrivals = np.bincount(aps[:, 0], minlength=len(ap_index)).tolist()
+    held = np.bincount(aps[visited], weights=holds[visited], minlength=len(ap_index)).tolist()
+    if counts is not None:
+        counts.update(sessions_sampled=sampled,
+                      sessions_dropped=sampled - len(stages) + bursts,
+                      burst_sessions=bursts, sessions_total=len(stages),
+                      stage_polls=len(visit), closed_user_polls=len(closed_t))
 
     observed = days * window
     truth = {
         "seed": seed,
         "days": days,
         "cadence": cadence,
-        "stage_table": {str(k): v for k, v in sorted(table.items())},
-        "sessions_total": sessions_total,
-        "users_total": len(users),
-        "closed_users": sorted(f"closed{i:02d}" for i in range(closed_users)),
-        "closed_fraction": closed_users / len(users) if users else 0.0,
+        "stage_table": {str(k): v for k, v in enumerate(np.bincount(stages).tolist()) if v},
+        "sessions_total": len(stages),
+        "users_total": len(user_index),
+        "closed_users": sorted(closed),
+        "closed_fraction": closed_users / len(user_index) if user_index else 0.0,
         "bursty_aps": [burst_ap] if burst_ap else [],
-        "sessions_starting_at_bursty": int(per_ap_new[burst_ap]) if burst_ap else 0,
+        "sessions_starting_at_bursty": new_arrivals[burst_code] if burst_ap else 0,
         "per_ap": {
-            ap: {
-                "entries": int(per_ap_entries[ap]),
-                "new_arrivals": int(per_ap_new[ap]),
-                "hold_mean": per_ap_hold[ap] / per_ap_entries[ap],
+            name: {
+                "entries": entries[code],
+                "new_arrivals": new_arrivals[code],
+                "hold_mean": held[code] / entries[code],
                 "observed_time": observed,
-                "arrival_rate": per_ap_entries[ap] / observed,
+                "arrival_rate": entries[code] / observed,
             }
-            for ap in sorted(per_ap_entries)
+            for name, code in sorted(ap_index.items()) if entries[code]
         },
     }
-    return records, truth
+    return polls, truth
 
 
-def write_polls_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "ap", "user", "packets"])
-        for r in records:
-            w.writerow([repr(r.timestamp), r.ap, r.user, r.packets])
+def write_polls_csv(polls: trace.PollTable, path) -> None:
+    """``timestamp,ap,user,packets`` rows in (timestamp, ap, user) order."""
+    order = np.lexsort((polls.user, polls.ap, polls.t))
+    _write_csv(path, ["timestamp", "ap", "user", "packets"],
+               zip(map(repr, polls.t[order].tolist()),
+                   [polls.aps[a] for a in polls.ap[order].tolist()],
+                   [polls.users[u] for u in polls.user[order].tolist()],
+                   polls.packets[order].tolist()))
 
 
 def cmd_fixture(args) -> int:
     spec = _load_valid_spec(args.config)
     out = Path(args.out)
     write_manifest(out, "fixture", vars(args), [args.config])
-    records, truth = generate_fixture(
+    run: dict = {}
+    start = time.perf_counter()
+    polls, truth = generate_fixture(
         spec, seed=args.seed, days=args.days, cadence=args.cadence,
         closed_users=args.closed_users, bursty_cell=args.bursty_cell,
-        burst_size=args.burst_size, bursts_per_day=args.bursts_per_day)
-    write_polls_csv(records, out / "polls.csv")
-    with open(out / "ground_truth.json", "w") as fh:
-        json.dump(truth, fh, indent=2)
-        fh.write("\n")
-    print(f"fixture: {len(records)} poll records over {args.days} day(s) "
+        burst_size=args.burst_size, bursts_per_day=args.bursts_per_day, counts=run)
+    generated = time.perf_counter()
+    write_polls_csv(polls, out / "polls.csv")
+    _write_json(out / "ground_truth.json", truth)
+    run.update(polls_written=len(polls), generate_s=generated - start,
+               write_s=time.perf_counter() - generated)
+    _write_json(out / "run.json", run)
+    print(f"fixture: {len(polls)} poll records over {args.days} day(s) "
           f"written to {out}")
     return 0
 
@@ -435,11 +447,10 @@ def cmd_trace(args) -> int:
                                     theta_threshold=args.threshold_theta)
     except trace.TraceInputError as exc:
         raise ValidationError(f"{args.polls}: {exc}") from exc
-    with open(out / "run.json", "w") as fh:
-        json.dump({"parse_polls": {"rows_in": len(records) + len(rejects),
-                                   "rows_out": len(records), "rejected": len(rejects)},
-                   **result.counts}, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "run.json", {"parse_polls": {"rows_in": len(records) + len(rejects),
+                                                   "rows_out": len(records),
+                                                   "rejected": len(rejects)},
+                                   **result.counts})
 
     sessions, excluded = trace.exclusion_modes(
         result.sessions, result.invalid_aps, args.exclude_mode,
@@ -447,34 +458,26 @@ def cmd_trace(args) -> int:
 
     trace.write_sessions_csv(sessions, out / "sessions.csv")
     trace.write_estimates_csv(result.estimates, out / "ap_params.csv")
-    with open(out / "stage_table.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stages", "observations"])
-        for label, count in trace.stage_table_rows(result.stage_table):
-            w.writerow([label, count])
-    with open(out / "ap_validity.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["ap", "eta", "eta_pass", "theta", "theta_pass", "valid"])
-        for ap, v in sorted(result.validity.items()):
-            w.writerow([
-                ap,
-                "" if v.independence.statistic is None else repr(v.independence.statistic),
-                v.independence.passed,
-                "" if v.poisson.statistic is None else repr(v.poisson.statistic),
-                v.poisson.passed, v.valid])
+    _write_csv(out / "stage_table.csv", ["stages", "observations"],
+               trace.stage_table_rows(result.stage_table))
+    _write_csv(out / "ap_validity.csv", ["ap", "eta", "eta_pass", "theta", "theta_pass",
+                                         "valid"],
+               ([ap, "" if v.independence.statistic is None else repr(v.independence.statistic),
+                 v.independence.passed,
+                 "" if v.poisson.statistic is None else repr(v.poisson.statistic),
+                 v.poisson.passed, v.valid] for ap, v in sorted(result.validity.items())))
 
     # empirical occupancy at poll cadence vs fitted product form
     aps = sorted(set(result.estimates) - excluded)
     occupancy = trace.occupancy_snapshots(sessions, aps, np.unique(records.t))
     form = analytic.ProductForm(
         tuple(result.estimates[ap].poisson_mean for ap in aps), tuple(aps))
-    with open(out / "marginal_comparison.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["ap", "h_kl", "h_real", "kl_ratio"])
-        for i, ap in enumerate(aps, start=1):
-            emp = stats.empirical_joint(occupancy, [i])
-            cmp = stats.compare_joint(emp, analytic.ProductForm((form.means[i - 1],)))
-            w.writerow([ap, repr(cmp.h_kl), repr(cmp.h_real), repr(cmp.kl_ratio)])
+    rows = []
+    for i, ap in enumerate(aps, start=1):
+        emp = stats.empirical_joint(occupancy, [i])
+        cmp = stats.compare_joint(emp, analytic.ProductForm((form.means[i - 1],)))
+        rows.append([ap, repr(cmp.h_kl), repr(cmp.h_real), repr(cmp.kl_ratio)])
+    _write_csv(out / "marginal_comparison.csv", ["ap", "h_kl", "h_real", "kl_ratio"], rows)
 
     report = {
         "records_in": result.records_in,
@@ -493,9 +496,7 @@ def cmd_trace(args) -> int:
         "excluded_aps": sorted(excluded),
         "preprocessing_notes": list(result.notes),
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "report.json", report)
     print(f"trace: {len(result.sessions)} sessions, "
           f"{len(result.valid_aps)}/{len(result.validity)} valid APs; "
           f"outputs in {out}")

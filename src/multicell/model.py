@@ -119,6 +119,9 @@ class Dist:
     (values, weights).
     """
 
+    FAMILIES = ("exponential", "deterministic", "lognormal", "uniform",
+                "hyperexponential", "discrete")
+
     family: str
     params: tuple[tuple[str, object], ...]
 
@@ -274,6 +277,10 @@ def validate(spec: NetworkSpec) -> list[str]:
             if rs.law.n_stages != rs.route.n_stages:
                 out.append(f"{where}.law: dwell count {rs.law.n_stages} != "
                            f"route length {rs.route.n_stages}")
+            dists = [("duration", rs.law.duration), ("speed", rs.law.speed),
+                     *((f"dwells[{j}]", d) for j, d in enumerate(rs.law.dwells, start=1))]
+            out.extend(f"{where}.law.{name}: unknown family {d.family!r}" for name, d in dists
+                       if d is not None and d.family not in Dist.FAMILIES)
     return out
 
 

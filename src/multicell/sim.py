@@ -16,6 +16,10 @@ independent and any (s, r) pair reproduces bit-identically across runs.
 Within a replication the draws go route by route in config order: the
 session count, the arrival times, then the sessions in the order
 :func:`model.sample_sessions` documents.
+
+:func:`emit_event_log` gives the same table in arrival order, so that each
+row's index is the session's id; ``multicell fixture`` lays its polls out
+from it.
 """
 
 from __future__ import annotations
@@ -54,30 +58,19 @@ class OccupancySnapshot:
     cell_counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SessionEvent:
-    """One session of the event log."""
-
-    session_id: int
-    route: int                      # 1-based route index
-    arrival_time: float
-    holding_times: tuple[float, ...]
-
-    @property
-    def stage_count(self) -> int:
-        return len(self.holding_times)
-
-
 @dataclass(frozen=True, eq=False)
 class SessionTable:
-    """The sessions of one replication, grouped by route in config order and
-    sorted by arrival time within each route. ``holds`` has one column per
-    stage of the longest route and is zero past each session's stage count."""
+    """The sessions of one replication, one row each. ``holds`` has one
+    column per stage of the longest route and is zero past each session's
+    stage count."""
 
     route: np.ndarray       # (n,) 1-based route index
     arrival: np.ndarray     # (n,) seconds
     stages: np.ndarray      # (n,) stage count
     holds: np.ndarray       # (n, K) seconds
+
+    def __len__(self) -> int:
+        return len(self.arrival)
 
 
 def rng_for_replication(seed: int, replication: int) -> np.random.Generator:
@@ -99,7 +92,8 @@ def _check_cap(visits: int) -> None:
 
 
 def session_table(spec: NetworkSpec, horizon: float, rng: np.random.Generator) -> SessionTable:
-    """Every session arriving on [0, horizon], route by route."""
+    """Every session arriving on [0, horizon], grouped by route in config
+    order and sorted by arrival time within each route."""
     K = max(rs.route.n_stages for rs in spec.routes)
     blocks = []
     visits = 0
@@ -187,14 +181,13 @@ def run(spec: NetworkSpec, cfg: SimConfig, *, replication: int = 0) -> list[Occu
 
 
 def emit_event_log(spec: NetworkSpec, cfg: SimConfig, *, replication: int = 0
-                   ) -> list[SessionEvent]:
-    """The session table of one replication in arrival order; session ids
-    count up from 0 in that order."""
+                   ) -> SessionTable:
+    """The session table of one replication in arrival order (a stable
+    sort); each row's index is its session id."""
     table = session_table(spec, cfg.horizon, rng_for_replication(cfg.seed, replication))
     order = np.argsort(table.arrival, kind="stable")
-    rows = zip(*(col[order].tolist() for col in (table.route, table.arrival,
-                                                   table.stages, table.holds)))
-    return [SessionEvent(i, l, t, tuple(h[:k])) for i, (l, t, k, h) in enumerate(rows)]
+    return SessionTable(table.route[order], table.arrival[order], table.stages[order],
+                        table.holds[order])
 
 
 def write_snapshots_csv(snapshots, path) -> None:

@@ -206,7 +206,7 @@ def _group_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
 
 
-def parse_polls(source, fmt: str = "csv") -> tuple[PollTable, list[tuple[int, str, str]]]:
+def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
     """Read poll records from a path or file object.
 
     Returns (a ``PollTable``, rejects). Each reject is (line number, raw
@@ -214,8 +214,6 @@ def parse_polls(source, fmt: str = "csv") -> tuple[PollTable, list[tuple[int, st
     Gzip-compressed files are accepted by suffix. A file that cannot be
     read as text raises ``TraceInputError`` naming the file and line.
     """
-    if fmt != "csv":
-        raise ValueError(f"unknown format descriptor {fmt!r}")
     close = False
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         path = str(source)

@@ -3,8 +3,11 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fixture_reference
 from multicell import cli, model
 from conftest import single_cell_spec
 
@@ -77,10 +80,32 @@ class TestAnalyze:
         assert rc == 1
         assert "stage_probs" in capsys.readouterr().err
 
-    def test_missing_config_exit_2(self, tmp_path, capsys):
-        rc = cli.main(["analyze", "--config", str(tmp_path / "absent.json"),
-                       "--out", str(tmp_path / "o")])
-        assert rc == 2
+    def test_missing_config_exit_1(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        rc = cli.main(["analyze", "--config", str(missing), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"cannot load network config {missing}" in err and "No such file" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("not json\n", "Expecting value: line 1 column 1"),
+        ('{"cells": 1}\n', "missing key 'routes'"),
+        ('{"cells": 1, "routes": [{"cells": [1], "arrival_rate": 1.0, "law": {"kind": '
+         '"discrete", "stage_probs": [1.0], "realizations": [[[1.0, [2.0]]]]}}]}\n',
+         "list indices must be integers or slices, not str"),
+        (json.dumps(model.spec_to_dict(model.NetworkSpec(1, (model.RouteSpec(
+            model.Route((1,)), 1.0, model.GenerativeSessionLaw(
+                model.Dist.make("gamma", shape=2.0, scale=3.0),
+                (model.Dist.make("exponential", mean=5.0),))),)))),
+         "routes[1].law.duration: unknown family 'gamma'"),
+    ], ids=["not-json", "no-routes", "pair-realizations", "unknown-family"])
+    def test_bad_config_exit_1(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(text)
+        rc = cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and message in err
 
 
 class TestSimulate:
@@ -247,6 +272,23 @@ class TestFixtureAndTrace:
         assert (a / "polls.csv").read_bytes() == (b / "polls.csv").read_bytes()
         assert (a / "ground_truth.json").read_bytes() == (b / "ground_truth.json").read_bytes()
 
+    def test_fixture_writes_run_counts(self, tmp_path):
+        cfg = write_config(tmp_path, self._fixture_spec())
+        out = tmp_path / "fix"
+        assert cli.main(["fixture", "--config", cfg, "--out", str(out), "--seed", "3",
+                         "--days", "3", "--closed-users", "2", "--bursty-cell", "2",
+                         "--burst-size", "4", "--bursts-per-day", "3"]) == 0
+        run = json.loads((out / "run.json").read_text())
+        truth = json.loads((out / "ground_truth.json").read_text())
+        with open(out / "polls.csv") as fh:
+            rows = sum(1 for _ in fh) - 1
+        assert run["polls_written"] == rows == run["stage_polls"] + run["closed_user_polls"]
+        assert run["closed_user_polls"] == 3 * 2 * 96
+        assert (run["sessions_total"] == truth["sessions_total"]
+                == run["sessions_sampled"] - run["sessions_dropped"] + run["burst_sessions"])
+        assert run["sessions_dropped"] > 0 and run["burst_sessions"] > 0
+        assert run["generate_s"] >= 0.0 and run["write_s"] >= 0.0
+
     def test_trace_exclude_mode_and_one_stage(self, tmp_path):
         cfg = write_config(tmp_path, self._fixture_spec())
         fix_out = tmp_path / "fix"
@@ -336,3 +378,88 @@ class TestFixtureAndTrace:
         assert run["classify_open_closed"]["closed_users"] == report["closed_users"] == 1
         assert run["resolve_multi_association"]["multi_association_merged"] == 0
         assert "run.json" not in report
+
+
+# ---------------------------------------------------------------------------
+# the columnar fixture against the record-at-a-time reference
+# ---------------------------------------------------------------------------
+
+#: On and off the 60, 137.5 and 300 s lattices, and shorter than a cadence.
+HOLDS = (10.0, 59.9, 60.0, 137.5, 299.999999, 300.0, 450.25, 600.0, 1234.5)
+
+
+def _weights(draw, n):
+    raw = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    return [w / sum(raw) for w in raw]
+
+
+@st.composite
+def fixture_specs(draw):
+    cells = draw(st.integers(1, 4))
+    routes = []
+    for _ in range(draw(st.integers(1, 3))):
+        route = model.Route(tuple(draw(st.lists(st.integers(1, cells), min_size=1,
+                                                 max_size=3))))
+        k = route.n_stages
+        if draw(st.booleans()):
+            realizations = []
+            for m in range(1, k + 1):
+                vectors = draw(st.lists(st.tuples(*[st.sampled_from(HOLDS)] * m),
+                                        min_size=1, max_size=2))
+                realizations.append(tuple(zip(_weights(draw, len(vectors)), vectors)))
+            law = model.DiscreteSessionLaw(tuple(_weights(draw, k)), tuple(realizations))
+        else:
+            D = model.Dist.make
+            dists = st.one_of(
+                st.builds(lambda m: D("exponential", mean=m), st.sampled_from([40.0, 700.0])),
+                st.builds(lambda v: D("deterministic", value=v), st.sampled_from(HOLDS)),
+                st.builds(lambda lo: D("uniform", low=lo, high=lo + 900.0),
+                          st.sampled_from([5.0, 250.0])))
+            law = model.GenerativeSessionLaw(
+                duration=draw(st.one_of(dists, st.just(D("lognormal", mu=7.0, sigma=0.8)))),
+                dwells=tuple(draw(dists) for _ in range(k)),
+                speed=draw(st.sampled_from([None, D("uniform", low=0.5, high=1.5)])),
+                speed_scales_duration=draw(st.booleans()))
+        rate = draw(st.sampled_from([1 / 300.0, 1 / 900.0, 1 / 2400.0]))
+        routes.append(model.RouteSpec(route, rate, law))
+    spec = model.NetworkSpec(cells, tuple(routes))
+    assert model.validate(spec) == []
+    return spec
+
+
+class TestFixtureAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=fixture_specs(), seed=st.integers(0, 10 ** 6), days=st.sampled_from([1, 2]),
+           cadence=st.sampled_from([60.0, 137.5, 300.0]), closed=st.integers(0, 2),
+           bursty=st.data())
+    def test_outputs_equal_reference(self, tmp_path_factory, spec, seed, days, cadence,
+                                     closed, bursty):
+        kw = dict(seed=seed, days=days, cadence=cadence, closed_users=closed,
+                  bursty_cell=bursty.draw(st.one_of(st.none(),
+                                                    st.integers(1, spec.cell_count))),
+                  burst_size=bursty.draw(st.integers(1, 3)),
+                  bursts_per_day=bursty.draw(st.sampled_from([1.0, 4.0])))
+        polls, truth = cli.generate_fixture(spec, **kw)
+        ref_records, ref_truth = fixture_reference.generate_fixture(spec, **kw)
+        out = tmp_path_factory.mktemp("fixture")
+        cli.write_polls_csv(polls, out / "polls.csv")
+        fixture_reference.write_polls_csv(ref_records, out / "ref.csv")
+        assert (out / "polls.csv").read_bytes() == (out / "ref.csv").read_bytes()
+        assert json.dumps(truth, indent=2) == json.dumps(ref_truth, indent=2)
+
+    @pytest.mark.parametrize("cadence", [60.0, 137.5, 300.0, 0.7, 47.1])
+    @pytest.mark.parametrize("near_time", [1.1e9, 1.7e9])
+    def test_poll_grid_at_lattice_points(self, cadence, near_time):
+        # stage bounds on and one ulp off the float products k * cadence,
+        # where ceil(bound / cadence) can be one above or below the least k
+        # whose product reaches the bound (0.7 and 47.1 give both)
+        k = np.arange(1000) + int(near_time / cadence)
+        near = np.concatenate([k * cadence, np.nextafter(k * cadence, np.inf),
+                               np.nextafter(k * cadence, -np.inf)])
+        entry = np.concatenate([near, near - 0.5 * cadence, near - 2 * cadence])
+        exit_ = np.concatenate([near + 2 * cadence, near, near])
+        stage, epoch = cli._poll_grid(entry, exit_, cadence)
+        expected = [(j, r.timestamp)
+                    for j, (a, b) in enumerate(zip(entry.tolist(), exit_.tolist()))
+                    for r in fixture_reference._stage_polls("u", "AP001", a, b, cadence, 10)]
+        assert list(zip(stage.tolist(), (epoch * cadence).tolist())) == expected

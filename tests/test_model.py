@@ -48,6 +48,16 @@ class TestValidate:
         assert any("stage_probs" in p for p in problems)
         assert any("holding time" in p for p in problems)
 
+    def test_unknown_family_names_its_path(self):
+        D = model.Dist.make
+        law = model.GenerativeSessionLaw(D("gamma", shape=2.0),
+                                         (D("exponential", mean=1.0), D("weibull", k=1.0)),
+                                         speed=D("Uniform", low=0.5, high=1.5))
+        spec = model.NetworkSpec(2, (model.RouteSpec(model.Route((1, 2)), 1.0, law),))
+        assert model.validate(spec) == ["routes[1].law.duration: unknown family 'gamma'",
+                                        "routes[1].law.speed: unknown family 'Uniform'",
+                                        "routes[1].law.dwells[2]: unknown family 'weibull'"]
+
 
 class TestStageHoldingTime:
     def test_middle_stage(self):

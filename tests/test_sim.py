@@ -173,10 +173,9 @@ class TestEventLog:
         spec = model.NetworkSpec(2, (model.RouteSpec(model.Route((1, 2)), 0.01, law),))
         cfg = sim.SimConfig(horizon=10_000.0, warmup=0.0, snapshot_interval=1e4, seed=5)
         log = sim.emit_event_log(spec, cfg)
-        assert log
-        for ev in log:
-            assert ev.stage_count == 2
-            assert ev.holding_times == (5.0, 7.0)
+        assert len(log)
+        assert log.stages.tolist() == [2] * len(log)
+        assert log.holds.tolist() == [[5.0, 7.0]] * len(log)
 
     def test_session_count_poisson(self):
         spec = single_cell_spec(rate=0.05, hold=1.0)
@@ -192,9 +191,11 @@ class TestEventLog:
         ))
         cfg = sim.SimConfig(horizon=5000.0, warmup=0.0, snapshot_interval=5e3, seed=4)
         log = sim.emit_event_log(spec, cfg)
-        times = [ev.arrival_time for ev in log]
+        table = sim.session_table(spec, cfg.horizon, sim.rng_for_replication(4, 0))
+        times = log.arrival.tolist()
         assert times == sorted(times)
-        assert len({ev.session_id for ev in log}) == len(log)
+        # a session's id is its row: every session of the table has exactly one
+        assert sorted(times) == sorted(table.arrival.tolist())
 
     def test_log_is_the_session_table_in_arrival_order(self):
         spec = model.NetworkSpec(2, (
@@ -206,9 +207,9 @@ class TestEventLog:
         table = sim.session_table(spec, cfg.horizon, sim.rng_for_replication(3, 2))
         rows = sorted(zip(table.arrival.tolist(), table.route.tolist(),
                           table.stages.tolist(), table.holds.tolist()))
-        assert [(ev.arrival_time, ev.route, ev.holding_times) for ev in log] == [
-            (t, l, tuple(h[:k])) for t, l, k, h in rows]
-        assert all(0.0 <= ev.arrival_time <= cfg.horizon for ev in log)
+        assert list(zip(log.arrival.tolist(), log.route.tolist(), log.stages.tolist(),
+                        log.holds.tolist())) == rows
+        assert ((0.0 <= log.arrival) & (log.arrival <= cfg.horizon)).all()
 
 
 class TestEmpiricalMatchesAnalytic:

@@ -52,10 +52,6 @@ class TestParsePolls:
         records, rejects = trace.parse_polls(path)
         assert len(records) == 1 and not rejects
 
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            trace.parse_polls(io.StringIO(""), fmt="xml")
-
     def test_cadence_inference(self):
         records = polls([(0, "AP1", "u1"), (1, "AP1", "u1"), (2, "AP1", "u1"),
                          (4, "AP1", "u1")])
