@@ -65,14 +65,11 @@ def write_manifest(outdir: Path, subcommand: str, args: dict, inputs: list) -> N
 
 def _load_valid_spec(path) -> model.NetworkSpec:
     try:
-        spec = model.load_spec(path)
-    except (OSError, KeyError, TypeError, ValueError) as exc:   # ValueError: not JSON too
-        problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValidationError(f"cannot load network config {path}: {problem}") from exc
-    problems = model.validate(spec)
-    if problems:
-        raise ValidationError(f"invalid network config {path}:\n  " + "\n  ".join(problems))
-    return spec
+        return model.load_spec(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot load network config {path}: {exc}") from exc
+    except model.ConfigError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 class ValidationError(Exception):
@@ -270,14 +267,14 @@ def _poll_grid(entry: np.ndarray, exit_: np.ndarray, cadence: float
                ) -> tuple[np.ndarray, np.ndarray]:
     """The polls of stages held on [entry, exit), in stage then time order:
     per poll, its stage and its epoch index i, for every
-    i >= ceil((entry - 1e-9) / cadence) with i * cadence < exit - 1e-9."""
-    first = np.ceil((entry - 1e-9) / cadence)
+    i >= ceil(entry / cadence) with i * cadence < exit."""
+    first = np.ceil(entry / cadence)
     # a stage has at most (exit - entry) / cadence + 1 polls, and the test
     # keeps a prefix of its candidates because i * cadence grows with i
     n = np.ceil((exit_ - entry) / cadence).astype(np.int64) + 2
     stage = np.repeat(np.arange(len(n)), n)
     epoch = first[stage] + np.arange(len(stage)) - np.repeat(np.cumsum(n) - n, n)
-    keep = epoch * cadence < (exit_ - 1e-9)[stage]
+    keep = epoch * cadence < exit_[stage]
     return stage[keep], epoch[keep]
 
 
@@ -295,8 +292,9 @@ def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: flo
     Optionally adds always-present closed users and a bursty cell receiving
     batched one-stage arrivals, for exercising the classifier and the
     Poisson tests. If ``counts`` is a dict, it receives the sessions
-    sampled, dropped, burst and in total, and the stage and closed-user
-    polls.
+    sampled, dropped, burst and in total, the stage and closed-user polls,
+    and the stages and sessions that left no poll (the ground truth counts
+    them all).
     """
     pcfg = trace.PreprocessConfig(poll_cadence=cadence)
     window = pcfg.work_end - pcfg.work_start
@@ -308,13 +306,14 @@ def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: flo
     burst_ap = ap_name(bursty_cell) if bursty_cell is not None else None
     burst_code = ap_index.setdefault(burst_ap, len(ap_index)) if burst_ap else None
     K = max(rs.route.n_stages for rs in spec.routes)
-    ap_of = np.array([rs.route.cells + (1,) * (K - rs.route.n_stages)
-                      for rs in spec.routes]) - 1
+    route_cells = [rs.route.cells for rs in spec.routes]
+    if burst_ap is not None:
+        route_cells.append((burst_code + 1,))      # bursts ride a route of their own
 
-    # per kept session, day by day (in arrival order, then the day's bursts):
-    # first entry, holds, stage count, stage APs; truth sums add in this order
-    rows = [(np.zeros(0), np.zeros((0, K)), np.zeros(0, dtype=np.int64),
-             np.zeros((0, K), dtype=np.int64))]
+    # the kept sessions, day by day (in arrival order, then the day's
+    # bursts), at absolute times; truth sums add in this order
+    rows = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64),
+             np.zeros((0, K)))]
     users: list[str] = []
     sampled = bursts = 0
     for d, day0 in enumerate(day_starts):
@@ -322,25 +321,25 @@ def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: flo
         sampled += len(log)
         # a session that would cross the window boundary is dropped; truth stays exact
         kept = np.flatnonzero(log.arrival + np.cumsum(log.holds, axis=1)[:, -1] < window)
-        rows.append((day0 + log.arrival[kept], log.holds[kept], log.stages[kept],
-                     ap_of[log.route[kept] - 1]))
+        rows.append((log.route[kept], day0 + log.arrival[kept], log.stages[kept],
+                     log.holds[kept]))
         users += [f"u{d:03d}_{i:06d}" for i in kept.tolist()]
         if burst_ap is not None:
             t0 = day0 + rng.uniform(0, window - 3 * cadence, rng.poisson(bursts_per_day))
             n = len(t0) * burst_size
             bursts += n
-            rows.append((np.repeat(t0, burst_size),
-                         np.full((n, K), [2 * cadence] + [0.0] * (K - 1)),
-                         np.ones(n, dtype=np.int64), np.full((n, K), burst_code)))
+            rows.append((np.full(n, len(route_cells)), np.repeat(t0, burst_size),
+                         np.ones(n, dtype=np.int64),
+                         np.full((n, K), [2 * cadence] + [0.0] * (K - 1))))
             users += [f"burst{d:03d}_{b:02d}_{u:02d}"
                       for b in range(len(t0)) for u in range(burst_size)]
-    start, holds, stages, aps = (np.concatenate(c) for c in zip(*rows))
+    table = sim.SessionTable(*(np.concatenate(c) for c in zip(*rows)))
     closed = [f"closed{i:02d}" for i in range(closed_users)]
     users += closed
 
-    visited = np.arange(K) < stages[:, None]
-    bounds = np.cumsum(np.column_stack([start, holds]), axis=1)
-    visit, epoch = _poll_grid(bounds[:, :-1][visited], bounds[:, 1:][visited], cadence)
+    visited, cells, entries, exits = table.visits(route_cells)
+    aps, session = cells - 1, np.nonzero(visited)[0]
+    visit, epoch = _poll_grid(entries, exits, cadence)
     n_epochs = int(window // cadence)
     closed_t = np.repeat(np.add.outer(day_starts, np.arange(n_epochs) * cadence),
                          closed_users, axis=0).ravel()
@@ -349,26 +348,32 @@ def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: flo
     user_index = {name: i for i, name in enumerate(users)}
     polls = trace.PollTable.from_codes(
         np.concatenate([epoch * cadence, closed_t]),
-        np.concatenate([aps[visited][visit], np.full(len(closed_t), ap_index[ap_name(1)])]),
-        ap_index, np.concatenate([np.nonzero(visited)[0][visit], closed_user]), user_index,
+        np.concatenate([aps[visit], np.full(len(closed_t), ap_index[ap_name(1)])]),
+        ap_index, np.concatenate([session[visit], closed_user]), user_index,
         np.full(len(visit) + len(closed_t), 10))
 
-    entries = np.bincount(aps[visited], minlength=len(ap_index)).tolist()
-    new_arrivals = np.bincount(aps[:, 0], minlength=len(ap_index)).tolist()
-    held = np.bincount(aps[visited], weights=holds[visited], minlength=len(ap_index)).tolist()
+    entered = np.bincount(aps, minlength=len(ap_index)).tolist()
+    # every session has a first stage, and its visits start at these indices
+    new_arrivals = np.bincount(aps[np.cumsum(table.stages) - table.stages],
+                               minlength=len(ap_index)).tolist()
+    held = np.bincount(aps, weights=table.holds[visited], minlength=len(ap_index)).tolist()
     if counts is not None:
+        polled = np.bincount(visit, minlength=len(aps)) > 0
         counts.update(sessions_sampled=sampled,
-                      sessions_dropped=sampled - len(stages) + bursts,
-                      burst_sessions=bursts, sessions_total=len(stages),
-                      stage_polls=len(visit), closed_user_polls=len(closed_t))
+                      sessions_dropped=sampled - len(table) + bursts,
+                      burst_sessions=bursts, sessions_total=len(table),
+                      stage_polls=len(visit), closed_user_polls=len(closed_t),
+                      unpolled_stages=int(np.count_nonzero(~polled)),
+                      unpolled_sessions=len(table) - len(np.unique(session[polled])))
 
     observed = days * window
     truth = {
         "seed": seed,
         "days": days,
         "cadence": cadence,
-        "stage_table": {str(k): v for k, v in enumerate(np.bincount(stages).tolist()) if v},
-        "sessions_total": len(stages),
+        "stage_table": {str(k): v for k, v in enumerate(np.bincount(table.stages).tolist())
+                        if v},
+        "sessions_total": len(table),
         "users_total": len(user_index),
         "closed_users": sorted(closed),
         "closed_fraction": closed_users / len(user_index) if user_index else 0.0,
@@ -376,13 +381,13 @@ def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: flo
         "sessions_starting_at_bursty": new_arrivals[burst_code] if burst_ap else 0,
         "per_ap": {
             name: {
-                "entries": entries[code],
+                "entries": entered[code],
                 "new_arrivals": new_arrivals[code],
-                "hold_mean": held[code] / entries[code],
+                "hold_mean": held[code] / entered[code],
                 "observed_time": observed,
-                "arrival_rate": entries[code] / observed,
+                "arrival_rate": entered[code] / observed,
             }
-            for name, code in sorted(ap_index.items()) if entries[code]
+            for name, code in sorted(ap_index.items()) if entered[code]
         },
     }
     return polls, truth

@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,36 +80,54 @@ class DiscreteSessionLaw:
     def n_stages(self) -> int:
         return len(self.stage_probs)
 
-    def violations(self, where: str = "law") -> list[str]:
-        out = []
-        if len(self.realizations) != len(self.stage_probs):
-            out.append(f"{where}: realizations length {len(self.realizations)} "
-                       f"!= stage count {len(self.stage_probs)}")
-            return out
-        total = math.fsum(self.stage_probs)
-        if abs(total - 1.0) > _PROB_TOL:
-            out.append(f"{where}.stage_probs: sum {total!r} != 1")
-        for k, (p, per_k) in enumerate(zip(self.stage_probs, self.realizations), start=1):
-            if p < 0:
-                out.append(f"{where}.stage_probs[{k}]: negative probability {p!r}")
-            if p > _PROB_TOL and not per_k:
-                out.append(f"{where}.realizations[{k}]: no realizations for "
-                           f"stage count {k} with probability {p!r}")
-            if per_k:
-                wsum = math.fsum(w for w, _ in per_k)
-                if abs(wsum - 1.0) > _PROB_TOL:
-                    out.append(f"{where}.realizations[{k}]: weights sum {wsum!r} != 1")
-            for i, (w, vec) in enumerate(per_k, start=1):
-                if w < 0:
-                    out.append(f"{where}.realizations[{k}][{i}]: negative weight {w!r}")
-                if len(vec) != k:
-                    out.append(f"{where}.realizations[{k}][{i}]: holding vector "
-                               f"length {len(vec)} != {k}")
-                for j, t in enumerate(vec, start=1):
-                    if not t > 0:
-                        out.append(f"{where}.realizations[{k}][{i}][{j}]: "
-                                   f"non-positive holding time {t!r}")
-        return out
+
+def _pick(p: dict, rng: np.random.Generator, size: int | None):
+    return rng.choice(len(p["weights"]), size,
+                      p=np.asarray(p["weights"]) / math.fsum(p["weights"]))
+
+
+def _choice_rule(key: str) -> Callable[[dict], str | None]:
+    return lambda p: (f"{len(p['weights'])} weights for {len(p[key])} {key}"
+                      if len(p["weights"]) != len(p[key]) else
+                      "weights sum to 0" if not math.fsum(p["weights"]) > 0 else None)
+
+
+class _Family(NamedTuple):
+    """One ``Dist`` family. Parameters that pass its checks and rule make
+    every draw finite and > 0, as far as a lognormal's exp stays within the
+    float range."""
+
+    params: dict[str, str]   # name -> check of _KINDS it must pass; [kind]: a list of them
+    mean: Callable[[dict], float]
+    draw: Callable[[dict, np.random.Generator, int | None], object]
+    rule: Callable[[dict], str | None] = lambda p: None   # over checked parameters
+
+
+_FAMILIES = {
+    "exponential": _Family({"mean": "positive"}, lambda p: p["mean"],
+                           lambda p, rng, size: rng.exponential(p["mean"], size)),
+    "deterministic": _Family(
+        {"value": "positive"}, lambda p: p["value"],
+        lambda p, rng, size: np.full(() if size is None else size, p["value"])),
+    "lognormal": _Family({"mu": "number", "sigma": "nonnegative"},
+                         lambda p: math.exp(p["mu"] + 0.5 * p["sigma"] ** 2),
+                         lambda p, rng, size: rng.lognormal(p["mu"], p["sigma"], size)),
+    "uniform": _Family({"low": "positive", "high": "positive"},
+                       lambda p: 0.5 * (p["low"] + p["high"]),
+                       lambda p, rng, size: rng.uniform(p["low"], p["high"], size),
+                       lambda p: (f"low {p['low']!r} > high {p['high']!r}"
+                                  if p["low"] > p["high"] else None)),
+    "hyperexponential": _Family(
+        {"weights": "[nonnegative]", "means": "[positive]"},
+        lambda p: float(np.dot(p["weights"], p["means"])),
+        lambda p, rng, size: rng.exponential(np.asarray(p["means"])[_pick(p, rng, size)]),
+        _choice_rule("means")),
+    "discrete": _Family(
+        {"values": "[positive]", "weights": "[nonnegative]"},
+        lambda p: float(np.dot(p["weights"], p["values"])),
+        lambda p, rng, size: np.asarray(p["values"])[_pick(p, rng, size)],
+        _choice_rule("values")),
+}
 
 
 @dataclass(frozen=True)
@@ -116,11 +137,9 @@ class Dist:
     Families: ``exponential`` (mean), ``deterministic`` (value),
     ``lognormal`` (mu, sigma of the underlying normal), ``uniform``
     (low, high), ``hyperexponential`` (weights, means), ``discrete``
-    (values, weights).
+    (values, weights). ``make`` does not check the parameters; the config
+    reader and :func:`validate` do.
     """
-
-    FAMILIES = ("exponential", "deterministic", "lognormal", "uniform",
-                "hyperexponential", "discrete")
 
     family: str
     params: tuple[tuple[str, object], ...]
@@ -140,42 +159,17 @@ class Dist:
     def as_dict(self) -> dict:
         return dict(self.params)
 
+    def _family(self) -> _Family:
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown distribution family {self.family!r}")
+        return _FAMILIES[self.family]
+
     def mean(self) -> float:
-        p = self.as_dict()
-        if self.family == "exponential":
-            return p["mean"]
-        if self.family == "deterministic":
-            return p["value"]
-        if self.family == "lognormal":
-            return math.exp(p["mu"] + 0.5 * p["sigma"] ** 2)
-        if self.family == "uniform":
-            return 0.5 * (p["low"] + p["high"])
-        if self.family == "hyperexponential":
-            return float(np.dot(p["weights"], p["means"]))
-        if self.family == "discrete":
-            return float(np.dot(p["weights"], p["values"]))
-        raise ValueError(f"unknown distribution family {self.family!r}")
+        return self._family().mean(self.as_dict())
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """One draw as a float, or ``size`` draws as a float array."""
-        p = self.as_dict()
-        if self.family == "exponential":
-            x = rng.exponential(p["mean"], size)
-        elif self.family == "deterministic":
-            x = np.full(() if size is None else size, p["value"])
-        elif self.family == "lognormal":
-            x = rng.lognormal(p["mu"], p["sigma"], size)
-        elif self.family == "uniform":
-            x = rng.uniform(p["low"], p["high"], size)
-        elif self.family in ("hyperexponential", "discrete"):
-            i = rng.choice(len(p["weights"]), size,
-                           p=np.asarray(p["weights"]) / math.fsum(p["weights"]))
-            if self.family == "discrete":
-                x = np.asarray(p["values"])[i]
-            else:
-                x = rng.exponential(np.asarray(p["means"])[i])
-        else:
-            raise ValueError(f"unknown distribution family {self.family!r}")
+        x = self._family().draw(self.as_dict(), rng, size)
         return float(x) if size is None else np.asarray(x, dtype=float)
 
 
@@ -248,40 +242,6 @@ class NetworkSpec:
         if len(self.cell_meta) != self.cell_count:
             return None
         return np.array([[c.x, c.y] for c in self.cell_meta])
-
-
-def validate(spec: NetworkSpec) -> list[str]:
-    """Collect every invariant violation; an empty list means valid."""
-    out = []
-    if spec.cell_count < 1:
-        out.append(f"cell_count: {spec.cell_count} < 1")
-    if not spec.routes:
-        out.append("routes: empty; at least one route required")
-    if spec.cell_meta and len(spec.cell_meta) != spec.cell_count:
-        out.append(f"cell_meta: length {len(spec.cell_meta)} != cell_count {spec.cell_count}")
-    for r, rs in enumerate(spec.routes, start=1):
-        where = f"routes[{r}]"
-        if not rs.route.cells:
-            out.append(f"{where}.route: empty cell sequence")
-        for j, c in enumerate(rs.route.cells, start=1):
-            if not 1 <= c <= spec.cell_count:
-                out.append(f"{where}.route.cells[{j}]: cell {c} outside 1..{spec.cell_count}")
-        if not rs.arrival_rate > 0:
-            out.append(f"{where}.arrival_rate: {rs.arrival_rate!r} not > 0")
-        if isinstance(rs.law, DiscreteSessionLaw):
-            if rs.law.n_stages != rs.route.n_stages:
-                out.append(f"{where}.law: stage count {rs.law.n_stages} != "
-                           f"route length {rs.route.n_stages}")
-            out.extend(rs.law.violations(where=f"{where}.law"))
-        elif isinstance(rs.law, GenerativeSessionLaw):
-            if rs.law.n_stages != rs.route.n_stages:
-                out.append(f"{where}.law: dwell count {rs.law.n_stages} != "
-                           f"route length {rs.route.n_stages}")
-            dists = [("duration", rs.law.duration), ("speed", rs.law.speed),
-                     *((f"dwells[{j}]", d) for j, d in enumerate(rs.law.dwells, start=1))]
-            out.extend(f"{where}.law.{name}: unknown family {d.family!r}" for name, d in dists
-                       if d is not None and d.family not in Dist.FAMILIES)
-    return out
 
 
 def stage_holding_time(T: float, taus, j: int) -> float | None:
@@ -423,31 +383,6 @@ def _law_to_dict(law: SessionLaw) -> dict:
     return d
 
 
-def _dist_from_dict(d: dict) -> Dist:
-    params = {k: v for k, v in d.items() if k != "family"}
-    return Dist.make(d["family"], **params)
-
-
-def _law_from_dict(d: dict) -> SessionLaw:
-    kind = d.get("kind")
-    if kind == "discrete":
-        return DiscreteSessionLaw(
-            tuple(d["stage_probs"]),
-            tuple(
-                tuple((r["weight"], tuple(r["holding"])) for r in per_k)
-                for per_k in d["realizations"]
-            ),
-        )
-    if kind == "generative":
-        return GenerativeSessionLaw(
-            duration=_dist_from_dict(d["duration"]),
-            dwells=tuple(_dist_from_dict(x) for x in d["dwells"]),
-            speed=_dist_from_dict(d["speed"]) if "speed" in d else None,
-            speed_scales_duration=bool(d.get("speed_scales_duration", False)),
-        )
-    raise ValueError(f"unknown session law kind {kind!r}")
-
-
 def spec_to_dict(spec: NetworkSpec) -> dict:
     d = {
         "cells": spec.cell_count,
@@ -465,23 +400,182 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
     return d
 
 
-def spec_from_dict(d: dict) -> NetworkSpec:
-    meta = tuple(
-        CellInfo(name=c.get("name", ""), x=float(c.get("x", 0.0)), y=float(c.get("y", 0.0)))
-        for c in d.get("cell_meta", [])
-    )
-    return NetworkSpec(
-        cell_count=int(d["cells"]),
-        routes=tuple(
-            RouteSpec(
-                route=Route(tuple(r["cells"])),
-                arrival_rate=float(r["arrival_rate"]),
-                law=_law_from_dict(r["law"]),
-            )
-            for r in d["routes"]
-        ),
-        cell_meta=meta,
-    )
+class ConfigError(ValueError):
+    """A network config that breaks the schema. ``problems`` lists every
+    fault found, each as ``path: problem`` with 1-based list indices."""
+
+    def __init__(self, problems: list[str], source: str = "network config"):
+        self.problems = problems
+        super().__init__(f"invalid {source}:\n  " + "\n  ".join(problems))
+
+
+def _is_number(v) -> bool:
+    # the comparison is exact, so it also rules out NaN and ints beyond a float
+    return (isinstance(v, (float, int, np.integer)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+#: The checks of config values: a test, what a value failing it is not, and
+#: the type a passing value is cast to.
+_KINDS = {
+    "object": (lambda v: isinstance(v, dict), "an object", None),
+    "list": (lambda v: isinstance(v, (list, tuple)), "a list", None),
+    "string": (lambda v: isinstance(v, str), "a string", None),
+    "bool": (lambda v: isinstance(v, bool), "true or false", None),
+    "integer": (lambda v: _is_number(v) and float(v).is_integer(), "an integer", int),
+    "number": (_is_number, "a finite number", float),
+    "positive": (lambda v: _is_number(v) and v > 0, "a finite number > 0", float),
+    # abs turns -0.0 into 0.0, which numpy's samplers require
+    "nonnegative": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0",
+                    lambda v: abs(float(v))),
+    "holding": (lambda v: _is_number(v) and v > 0, "a positive holding time", float),
+}
+
+_REQUIRED = object()
+
+
+def _read_spec(d) -> tuple[NetworkSpec | None, list[str]]:
+    """Walk a config dict once: the spec it describes (None if there is a
+    problem) and every problem found. A part with a problem reads as None,
+    or is left out, and the walk goes on."""
+    problems: list[str] = []
+
+    def bad(path: str, problem: str) -> None:
+        problems.append(f"{path}: {problem}")
+
+    def check(v, path: str, kind: str):
+        test, what, cast = _KINDS[kind]
+        return (cast(v) if cast else v) if test(v) else bad(path, f"{v!r} is not {what}")
+
+    def get(obj: dict, at: str, key: str, kind: str = "object", default=_REQUIRED):
+        """``obj[key]`` checked as ``kind``; ``[kind]`` is a list of such
+        values, read as a tuple."""
+        path = f"{at}.{key}" if at else key
+        if key not in obj:
+            return bad(path, "missing") if default is _REQUIRED else default
+        if kind[0] != "[":
+            return check(obj[key], path, kind)
+        items = check(obj[key], path, "list")
+        test, _, cast = _KINDS[kind[1:-1]]
+        if items is not None and all(map(test, items)):   # the common case, kept cheap
+            return tuple(map(cast, items))
+        got = [check(x, f"{path}[{i}]", kind[1:-1]) for i, x in enumerate(items or (), start=1)]
+        return None if items is None or None in got else tuple(got)
+
+    def objects(items, at: str) -> list[tuple[str, dict]]:
+        """The path and value of each item of a list that is an object."""
+        items = [(f"{at}[{i}]", x) for i, x in enumerate(items or (), start=1)]
+        return [(path, x) for path, x in items if check(x, path, "object") is not None]
+
+    def route(at: str, r: dict, count: int | None) -> RouteSpec:
+        cells = get(r, at, "cells", "[integer]")
+        if cells == ():
+            bad(f"{at}.cells", "empty cell sequence")
+        for j, c in enumerate(cells or (), start=1):
+            if count is not None and not 1 <= c <= count:
+                bad(f"{at}.cells[{j}]", f"cell {c} outside 1..{count}")
+        rate = get(r, at, "arrival_rate", "positive")
+        law = get(r, at, "law")
+        if law is not None:
+            law = read_law(f"{at}.law", law, None if cells is None else len(cells))
+        return RouteSpec(Route(cells or ()), rate, law)
+
+    def read_law(at: str, d: dict, n_stages: int | None) -> SessionLaw | None:
+        kind = get(d, at, "kind", "string")
+        if kind == "generative":
+            dwells = get(d, at, "dwells", "list")
+            if dwells is not None and n_stages is not None and len(dwells) != n_stages:
+                bad(f"{at}.dwells", f"dwell count {len(dwells)} != route length {n_stages}")
+            return GenerativeSessionLaw(
+                duration=dist(f"{at}.duration", get(d, at, "duration")),
+                speed=dist(f"{at}.speed", get(d, at, "speed", default=None)),
+                dwells=tuple(dist(*x) for x in objects(dwells, f"{at}.dwells")),
+                speed_scales_duration=get(d, at, "speed_scales_duration", "bool", False))
+        if kind == "discrete":
+            probs = get(d, at, "stage_probs", "[nonnegative]")
+            reals = get(d, at, "realizations", "list")
+            if probs is not None and n_stages is not None and len(probs) != n_stages:
+                bad(f"{at}.stage_probs", f"stage count {len(probs)} != route length {n_stages}")
+            if probs is not None and abs(math.fsum(probs) - 1.0) > _PROB_TOL:
+                bad(f"{at}.stage_probs", f"sum {math.fsum(probs)!r} != 1")
+            if None not in (probs, reals) and len(reals) != len(probs):
+                return bad(f"{at}.realizations",
+                           f"length {len(reals)} != stage count {len(probs)}")
+            per_k = [weighted(f"{at}.realizations[{k}]", x, k, probs[k - 1] if probs else 0.0)
+                     for k, x in enumerate(reals or (), start=1)]
+            return None if probs is None or None in per_k else DiscreteSessionLaw(
+                probs, tuple(per_k))
+        if kind is not None:
+            bad(f"{at}.kind", f"unknown session law kind {kind!r}")
+        return None
+
+    def weighted(at: str, per_k, k: int, p: float) -> tuple | None:
+        """The weighted holding vectors of stage count k, of probability p."""
+        if check(per_k, at, "list") is None:
+            return None
+        if p > _PROB_TOL and not per_k:
+            bad(at, f"no realizations for stage count {k} with probability {p!r}")
+        before = len(problems)
+        got = []
+        for path, x in objects(per_k, at):
+            w, hold = get(x, path, "weight", "nonnegative"), get(x, path, "holding", "[holding]")
+            if hold is not None and len(hold) != k:
+                bad(f"{path}.holding", f"holding vector length {len(hold)} != {k}")
+            got.append((w, hold))
+        if len(problems) > before:
+            return None
+        wsum = math.fsum(w for w, _ in got)
+        if got and abs(wsum - 1.0) > _PROB_TOL:
+            bad(at, f"weights sum {wsum!r} != 1")
+        return tuple(got)
+
+    def dist(at: str, d: dict | None) -> Dist | None:
+        family = None if d is None else get(d, at, "family", "string")
+        if family is not None and family not in _FAMILIES:
+            bad(at, f"unknown family {family!r}")
+        if family not in _FAMILIES:
+            return None
+        kinds, rule = _FAMILIES[family].params, _FAMILIES[family].rule
+        for key in d:
+            if key != "family" and key not in kinds:
+                bad(f"{at}.{key}", f"not a parameter of {family!r}")
+        params = {key: get(d, at, key, kind) for key, kind in kinds.items()}
+        if None in params.values():
+            return None
+        problem = rule(params)
+        return bad(at, problem) if problem else Dist.make(family, **params)
+
+    d = check(d, "(top level)", "object")
+    if d is None:
+        return None, problems
+    count = get(d, "", "cells", "integer")
+    if count is not None and count < 1:
+        bad("cells", f"{count} < 1")
+    meta = get(d, "", "cell_meta", "list", default=())
+    if meta and count is not None and len(meta) != count:
+        bad("cell_meta", f"{len(meta)} entries for {count} cells")
+    meta = tuple(CellInfo(get(c, at, "name", "string", ""), get(c, at, "x", "number", 0.0),
+                          get(c, at, "y", "number", 0.0)) for at, c in objects(meta, "cell_meta"))
+    routes = get(d, "", "routes", "list")
+    if routes is not None and not routes:
+        bad("routes", "empty; at least one route required")
+    routes = tuple(route(at, r, count) for at, r in objects(routes, "routes"))
+    return (None if problems else NetworkSpec(count, routes, meta)), problems
+
+
+def validate(spec: NetworkSpec) -> list[str]:
+    """Every rule the config reader applies, run on ``spec``; an empty list
+    means valid."""
+    return _read_spec(spec_to_dict(spec))[1]
+
+
+def spec_from_dict(d, source: str = "network config") -> NetworkSpec:
+    """Build a spec from its config dict; raises ConfigError listing every
+    problem."""
+    spec, problems = _read_spec(d)
+    if problems:
+        raise ConfigError(problems, source)
+    return spec
 
 
 def save_spec(spec: NetworkSpec, path) -> None:
@@ -491,5 +585,13 @@ def save_spec(spec: NetworkSpec, path) -> None:
 
 
 def load_spec(path) -> NetworkSpec:
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
+    """Read and check a JSON config. Raises OSError when the file cannot be
+    read, and ConfigError, naming the file, when it is not JSON or breaks
+    the schema."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        d = json.loads(raw)
+    except ValueError as exc:      # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError([f"not JSON: {exc}"], f"network config {path}") from exc
+    return spec_from_dict(d, f"network config {path}")

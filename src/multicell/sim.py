@@ -72,6 +72,29 @@ class SessionTable:
     def __len__(self) -> int:
         return len(self.arrival)
 
+    def visits(self, route_cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every stage visit, in session then stage order: the ``(n, K)``
+        mask of visited stages, and per visit its cell, entry and exit
+        time. ``route_cells[l - 1]`` is the cell sequence of route l."""
+        K = self.holds.shape[1]
+        visited = np.arange(K) < self.stages[:, None]
+        bounds = np.cumsum(np.column_stack([self.arrival, self.holds]), axis=1)
+        cell_of = np.array([tuple(c) + (0,) * (K - len(c)) for c in route_cells])
+        return (visited, cell_of[self.route - 1][visited], bounds[:, :-1][visited],
+                bounds[:, 1:][visited])
+
+
+def interval_counts(group: np.ndarray, entry: np.ndarray, exit_: np.ndarray,
+                    n_groups: int, times: np.ndarray) -> np.ndarray:
+    """A ``(T, n_groups)`` int64 matrix: per time t of the sorted ``times``
+    and group g (numbered from 0), the intervals of g with entry <= t < exit."""
+    counts = np.zeros((len(times), n_groups), dtype=np.int64)
+    for g in range(n_groups):
+        here = group == g
+        counts[:, g] = (np.searchsorted(np.sort(entry[here]), times, side="right")
+                        - np.searchsorted(np.sort(exit_[here]), times, side="right"))
+    return counts
+
 
 def rng_for_replication(seed: int, replication: int) -> np.random.Generator:
     """The documented stream-derivation rule: Philox(SeedSequence((seed, r)))."""
@@ -166,17 +189,8 @@ def run(spec: NetworkSpec, cfg: SimConfig, *, replication: int = 0) -> list[Occu
         int((cfg.horizon - cfg.warmup) // cfg.snapshot_interval) + 2)
     times = times[times <= cfg.horizon]
 
-    K = table.holds.shape[1]
-    bounds = np.cumsum(np.column_stack([table.arrival, table.holds]), axis=1)
-    visited = np.arange(K) < table.stages[:, None]
-    cell_of = np.array([rs.route.cells + (0,) * (K - rs.route.n_stages) for rs in spec.routes])
-    cells = cell_of[table.route - 1][visited]
-    entries, exits = bounds[:, :-1][visited], bounds[:, 1:][visited]
-    counts = np.zeros((len(times), spec.cell_count), dtype=np.int64)
-    for c in range(spec.cell_count):
-        here = cells == c + 1
-        counts[:, c] = (np.searchsorted(np.sort(entries[here]), times, side="right")
-                        - np.searchsorted(np.sort(exits[here]), times, side="right"))
+    _, cells, entries, exits = table.visits([rs.route.cells for rs in spec.routes])
+    counts = interval_counts(cells - 1, entries, exits, spec.cell_count, times)
     return [OccupancySnapshot(t, tuple(row)) for t, row in zip(times.tolist(), counts.tolist())]
 
 

@@ -225,8 +225,7 @@ class SubsetStudy:
 def random_subset_study(full: EmpiricalDistribution, form: ProductForm,
                         n_cells: int, repeats: int, rng: np.random.Generator,
                         coordinates: np.ndarray | None = None,
-                        max_distance: float | None = None,
-                        allowed_cells=None) -> SubsetStudy:
+                        max_distance: float | None = None) -> SubsetStudy:
     """Repeatedly draw random n-cell subsets, compare each empirical
     marginal against the matching product-form marginal, and report sample
     mean and standard deviation of the three metrics.
@@ -239,9 +238,7 @@ def random_subset_study(full: EmpiricalDistribution, form: ProductForm,
     dim = full.dimension
     if n_cells > dim:
         raise ValueError(f"subset size {n_cells} exceeds {dim} cells")
-    pool = sorted(allowed_cells) if allowed_cells is not None else list(range(1, dim + 1))
-    if n_cells > len(pool):
-        raise ValueError(f"subset size {n_cells} exceeds {len(pool)} allowed cells")
+    pool = list(range(1, dim + 1))
 
     def admissible(subset) -> bool:
         if coordinates is None or max_distance is None:

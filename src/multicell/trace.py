@@ -36,6 +36,7 @@ from datetime import date
 
 import numpy as np
 
+from .sim import interval_counts
 from .stats import TestReport, independence_test, poisson_dist_test
 
 PREPROCESSING_NOTES = (
@@ -718,15 +719,8 @@ def occupancy_snapshots(sessions, aps: list[str], epochs) -> np.ndarray:
     ap_index = {ap: i for i, ap in enumerate(aps)}
     stages = [(ap_index[ap], e, x) for s in sessions for ap, e, x in s.stages
               if ap in ap_index]
-    times = np.sort(np.asarray(epochs, dtype=float))
-    counts = np.zeros((len(times), len(aps)), dtype=np.int64)
-    if stages:
-        idx, entry, exit_ = (np.array(c) for c in zip(*stages))
-        for i in range(len(aps)):
-            at = idx == i
-            counts[:, i] = (np.searchsorted(np.sort(entry[at]), times, side="right")
-                            - np.searchsorted(np.sort(exit_[at]), times, side="right"))
-    return counts
+    idx, entry, exit_ = (np.array(c) for c in zip(*stages)) if stages else (np.zeros(0),) * 3
+    return interval_counts(idx, entry, exit_, len(aps), np.sort(np.asarray(epochs, dtype=float)))
 
 
 @dataclass

@@ -26,6 +26,15 @@ def two_cell_spec():
     return model.NetworkSpec(2, (model.RouteSpec(model.Route((1, 2)), 1.5, law),))
 
 
+def _generative_config(rate=0.01, duration=None, dwell=None) -> str:
+    """A one-cell generative config, with the given arrival rate, duration
+    and dwell in place of valid ones."""
+    return json.dumps({"cells": 1, "routes": [{"cells": [1], "arrival_rate": rate, "law": {
+        "kind": "generative",
+        "duration": duration or {"family": "exponential", "mean": 600.0},
+        "dwells": [dwell or {"family": "deterministic", "value": 300.0}]}}]})
+
+
 class TestReadmeConfig:
     def test_documented_example_loads_and_validates(self, tmp_path):
         section = README.read_text().split("### Network config schema (JSON)")[1]
@@ -89,16 +98,31 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("text, message", [
         ("not json\n", "Expecting value: line 1 column 1"),
-        ('{"cells": 1}\n', "missing key 'routes'"),
+        ('{"cells": 1}\n', "routes: missing"),
         ('{"cells": 1, "routes": [{"cells": [1], "arrival_rate": 1.0, "law": {"kind": '
          '"discrete", "stage_probs": [1.0], "realizations": [[[1.0, [2.0]]]]}}]}\n',
-         "list indices must be integers or slices, not str"),
+         "routes[1].law.realizations[1][1]: [1.0, [2.0]] is not an object"),
         (json.dumps(model.spec_to_dict(model.NetworkSpec(1, (model.RouteSpec(
             model.Route((1,)), 1.0, model.GenerativeSessionLaw(
                 model.Dist.make("gamma", shape=2.0, scale=3.0),
                 (model.Dist.make("exponential", mean=5.0),))),)))),
          "routes[1].law.duration: unknown family 'gamma'"),
-    ], ids=["not-json", "no-routes", "pair-realizations", "unknown-family"])
+        (_generative_config(dwell={"family": "exponential", "mean": -5.0}),
+         "routes[1].law.dwells[1].mean: -5.0 is not a finite number > 0"),
+        (_generative_config(duration={"family": "lognormal", "mu": 7.0}),
+         "routes[1].law.duration.sigma: missing"),
+        (_generative_config(rate="fast"),
+         "routes[1].arrival_rate: 'fast' is not a finite number > 0"),
+        (_generative_config(dwell={"family": "deterministic", "value": 0.0}),
+         "routes[1].law.dwells[1].value: 0.0 is not a finite number > 0"),
+        (_generative_config(dwell={"family": "uniform", "low": 5.0, "high": 2.0}),
+         "routes[1].law.dwells[1]: low 5.0 > high 2.0"),
+        (_generative_config(duration={"family": "discrete", "values": [60.0, 120.0],
+                                      "weights": [1.0]}),
+         "routes[1].law.duration: 1 weights for 2 values"),
+    ], ids=["not-json", "no-routes", "pair-realizations", "unknown-family",
+            "negative-mean", "lognormal-no-sigma", "non-numeric-rate", "zero-deterministic",
+            "uniform-low-above-high", "discrete-unequal-lists"])
     def test_bad_config_exit_1(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "net.json"
         cfg.write_text(text)
@@ -106,6 +130,30 @@ class TestAnalyze:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(cfg) in err and message in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_every_config_fault_reported(self, tmp_path, capsys):
+        config = json.loads(_generative_config(rate=-1.0, dwell={"family": "exponential"}))
+        config["cells"] = 0
+        config["routes"].append({"cells": [2], "law": {"kind": "discrete", "stage_probs": [0.5],
+                                                       "realizations": [[]]}})
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(config))
+        rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                       "--horizon", "100"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: invalid network config {cfg}:",
+            "  cells: 0 < 1",
+            "  routes[1].cells[1]: cell 1 outside 1..0",
+            "  routes[1].arrival_rate: -1.0 is not a finite number > 0",
+            "  routes[1].law.dwells[1].mean: missing",
+            "  routes[2].cells[1]: cell 2 outside 1..0",
+            "  routes[2].arrival_rate: missing",
+            "  routes[2].law.stage_probs: sum 0.5 != 1",
+            "  routes[2].law.realizations[1]: no realizations for stage count 1 with "
+            "probability 0.5"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestSimulate:
@@ -288,6 +336,26 @@ class TestFixtureAndTrace:
                 == run["sessions_sampled"] - run["sessions_dropped"] + run["burst_sessions"])
         assert run["sessions_dropped"] > 0 and run["burst_sessions"] > 0
         assert run["generate_s"] >= 0.0 and run["write_s"] >= 0.0
+
+    def test_unpolled_sessions_explain_missing_users(self, tmp_path):
+        # off the 60 s lattice, with dwells mostly shorter than a cadence,
+        # some stages and whole sessions fall between two poll epochs
+        D = model.Dist.make
+        law = model.GenerativeSessionLaw(D("lognormal", mu=6.0, sigma=0.8),
+                                         (D("exponential", mean=25.0),
+                                          D("exponential", mean=45.0)))
+        cfg = write_config(tmp_path, model.NetworkSpec(2, (
+            model.RouteSpec(model.Route((1, 2)), 1 / 120.0, law),)))
+        out = tmp_path / "fix"
+        assert cli.main(["fixture", "--config", cfg, "--out", str(out), "--seed", "5",
+                         "--days", "2", "--cadence", "60", "--closed-users", "2"]) == 0
+        run = json.loads((out / "run.json").read_text())
+        truth = json.loads((out / "ground_truth.json").read_text())
+        with open(out / "polls.csv") as fh:
+            users = {row["user"] for row in csv.DictReader(fh)}
+        assert run["unpolled_sessions"] > 0
+        assert run["unpolled_stages"] >= run["unpolled_sessions"]
+        assert truth["users_total"] - run["unpolled_sessions"] == len(users)
 
     def test_trace_exclude_mode_and_one_stage(self, tmp_path):
         cfg = write_config(tmp_path, self._fixture_spec())

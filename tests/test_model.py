@@ -1,5 +1,8 @@
+import json
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from hypothesis import strategies as st
 
 from multicell import model
 from conftest import random_discrete_law, single_cell_spec
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def two_route_spec():
@@ -57,6 +62,57 @@ class TestValidate:
         assert model.validate(spec) == ["routes[1].law.duration: unknown family 'gamma'",
                                         "routes[1].law.speed: unknown family 'Uniform'",
                                         "routes[1].law.dwells[2]: unknown family 'weibull'"]
+
+
+def _duration_problems(dist):
+    law = model.GenerativeSessionLaw(dist, (model.Dist.make("deterministic", value=1.0),))
+    return model.validate(model.NetworkSpec(1, (model.RouteSpec(model.Route((1,)), 1.0, law),)))
+
+
+class TestDistRules:
+    D = model.Dist.make
+
+    @pytest.mark.parametrize("dist, problem", [
+        (D("exponential", mean=0.0), "duration.mean: 0.0 is not a finite number > 0"),
+        (D("exponential", mean=math.inf), "duration.mean: inf is not a finite number > 0"),
+        (D("deterministic", value=-1.0), "duration.value: -1.0 is not a finite number > 0"),
+        (D("lognormal", mu=math.nan, sigma=1.0), "duration.mu: nan is not a finite number"),
+        (D("lognormal", mu=0.0, sigma=-0.5),
+         "duration.sigma: -0.5 is not a finite number >= 0"),
+        (D("uniform", low=0.0, high=1.0), "duration.low: 0.0 is not a finite number > 0"),
+        (D("uniform", low=3.0, high=2.0), "duration: low 3.0 > high 2.0"),
+        (D("hyperexponential", weights=[0.5, 0.5], means=[1.0]),
+         "duration: 2 weights for 1 means"),
+        (D("hyperexponential", weights=[-0.5, 1.5], means=[1.0, 2.0]),
+         "duration.weights[1]: -0.5 is not a finite number >= 0"),
+        (D("hyperexponential", weights=[1.0], means=[0.0]),
+         "duration.means[1]: 0.0 is not a finite number > 0"),
+        (D("discrete", values=[1.0, 2.0, 3.0], weights=[0.5, 0.5]),
+         "duration: 2 weights for 3 values"),
+        (D("discrete", values=[1.0, -2.0], weights=[0.5, 0.5]),
+         "duration.values[2]: -2.0 is not a finite number > 0"),
+        (D("discrete", values=[1.0], weights=[0.0]), "duration: weights sum to 0"),
+        (D("discrete", values=[], weights=[]), "duration: weights sum to 0"),
+        (D("lognormal", mu=1.0), "duration.sigma: missing"),
+        (D("exponential", mean=1.0, scale=2.0),
+         "duration.scale: not a parameter of 'exponential'"),
+    ])
+    def test_rule_names_its_path(self, dist, problem):
+        assert _duration_problems(dist) == [f"routes[1].law.{problem}"]
+
+    @pytest.mark.parametrize("dist", [
+        D("exponential", mean=2.0), D("deterministic", value=2.0),
+        D("lognormal", mu=-3.0, sigma=0.0), D("uniform", low=2.0, high=2.0),
+        D("lognormal", mu=1.0, sigma=-0.0),
+        D("hyperexponential", weights=[0.0, 2.0], means=[1.0, 3.0]),
+        D("discrete", values=[1.0, 3.0], weights=[1.0, 0.0])])
+    def test_valid_parameters_give_positive_draws(self, dist, rng):
+        assert _duration_problems(dist) == []
+        law = model.GenerativeSessionLaw(dist, (dist,))
+        dist = model.spec_from_dict(model.spec_to_dict(model.NetworkSpec(
+            1, (model.RouteSpec(model.Route((1,)), 1.0, law),)))).routes[0].law.duration
+        draws = dist.sample(rng, 1000)
+        assert np.isfinite(draws).all() and (draws > 0).all()
 
 
 class TestStageHoldingTime:
@@ -203,7 +259,8 @@ class TestDiscretize:
         )
         d = model.discretize(law, samples=5000, bin_width=0.25, rng_seed=1)
         assert math.fsum(d.stage_probs) == 1.0
-        assert d.violations() == []
+        route = model.RouteSpec(model.Route((1, 2, 3, 4)), 1.0, d)
+        assert model.validate(model.NetworkSpec(4, (route,))) == []
 
     def test_equals_loop_binning_of_the_same_sessions(self):
         # reference: round each hold to bins one session at a time, clamp to
@@ -315,3 +372,17 @@ class TestConfigRoundTrip:
             (model.RouteSpec(model.Route(tuple(range(1, law.n_stages + 1))), 1.0, law),))
         d = model.spec_from_dict(model.spec_to_dict(spec))
         assert d == spec
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_reader_rebuilds_readme_example_with_random_routes(self, seed):
+        section = README.read_text().split("### Network config schema (JSON)")[1]
+        example = model.spec_from_dict(
+            json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1)))
+        law = random_discrete_law(np.random.default_rng(seed))
+        cells = tuple(range(1, law.n_stages + 1))
+        spec = model.NetworkSpec(
+            max(example.cell_count, law.n_stages),
+            example.routes + (model.RouteSpec(model.Route(cells), 0.25, law),))
+        assert model.validate(spec) == []
+        assert model.spec_from_dict(model.spec_to_dict(spec)) == spec
