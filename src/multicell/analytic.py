@@ -24,47 +24,9 @@ from .model import DiscreteSessionLaw, NetworkSpec, RouteSpec
 _IDENTITY_TOL = 1e-9
 
 
-def survival(stage_probs, j: int) -> float:
-    """Probability the session lasts at least j stages: 1 - sum(p_1..p_{j-1})."""
-    if not 1 <= j <= len(stage_probs):
-        raise ValueError(f"stage index {j} outside 1..{len(stage_probs)}")
-    return 1.0 - math.fsum(stage_probs[: j - 1])
-
-
-def transition_prob(stage_probs, k: int) -> tuple[float, float]:
-    """(continue, terminate) probabilities for a session in stage k."""
-    if not 1 <= k <= len(stage_probs):
-        raise ValueError(f"stage index {k} outside 1..{len(stage_probs)}")
-    tail = math.fsum(stage_probs[k - 1:])
-    if tail <= 0:
-        raise ValueError(f"unreachable stage {k}: zero survival probability")
-    cont = math.fsum(stage_probs[k:]) / tail
-    term = stage_probs[k - 1] / tail
-    # renormalize away the last float ulp so the pair sums to 1 exactly
-    total = cont + term
-    return cont / total, term / total
-
-
-def mean_holding_times(law: DiscreteSessionLaw) -> list[float | None]:
-    """Conditional mean holding time per stage.
-
-    Entry j-1 is the mean holding time at stage j given the session reaches
-    stage j, or None for unreachable stages (zero survival probability).
-    """
-    n = law.n_stages
-    out: list[float | None] = []
-    for j in range(1, n + 1):
-        surv = survival(law.stage_probs, j)
-        if surv <= 0:
-            out.append(None)
-            continue
-        num = math.fsum(
-            law.stage_probs[k - 1] * w * vec[j - 1]
-            for k in range(j, n + 1)
-            for w, vec in law.realizations[k - 1]
-        )
-        out.append(num / surv)
-    return out
+def poisson_logpmf(mean: float, y: int) -> float:
+    """log P(Y = y) for Y ~ Poisson(mean), mean > 0."""
+    return -mean + y * math.log(mean) - math.lgamma(y + 1)
 
 
 @dataclass(frozen=True)
@@ -91,17 +53,19 @@ def stage_means(route_spec: RouteSpec) -> StageMeans:
     if not isinstance(law, DiscreteSessionLaw):
         raise TypeError("stage_means requires a DiscreteSessionLaw")
     lam0 = route_spec.arrival_rate
-    t_bars = mean_holding_times(law)
-    branch = decoupled_means(route_spec)
+    moments = law.stage_moments()
+    branch_values = [[] for _ in range(law.n_stages)]
+    for (_, _, j), v in decoupled_means(route_spec).items():
+        branch_values[j - 1].append(v)
 
     stages, w_prime, t_bar, w = [], [], [], []
-    for j in range(1, law.n_stages + 1):
-        tb = t_bars[j - 1]
+    for j, (reach, tb, values) in enumerate(
+            zip(moments.reach, moments.mean_hold, branch_values), start=1):
         if tb is None:
             continue
-        wp = lam0 * survival(law.stage_probs, j)
+        wp = lam0 * reach
         wj = wp * tb
-        branch_sum = math.fsum(v for (k, i, jj), v in branch.items() if jj == j)
+        branch_sum = math.fsum(values)
         if abs(branch_sum - wj) > _IDENTITY_TOL * max(1.0, abs(wj)):
             raise AssertionError(
                 f"decoupled-branch occupancies {branch_sum!r} disagree with "
@@ -122,14 +86,13 @@ def decoupled_means(route_spec: RouteSpec) -> dict[tuple[int, int, int], float]:
     law = route_spec.law
     if not isinstance(law, DiscreteSessionLaw):
         raise TypeError("decoupled_means requires a DiscreteSessionLaw")
-    lam0 = route_spec.arrival_rate
-    out = {}
-    for k in range(1, law.n_stages + 1):
-        pk = law.stage_probs[k - 1]
-        for i, (q, vec) in enumerate(law.realizations[k - 1], start=1):
-            for j in range(1, k + 1):
-                out[(k, i, j)] = lam0 * pk * q * vec[j - 1]
-    return out
+    b = law.branches
+    values = (route_spec.arrival_rate * b.pk * b.weight)[:, None] * b.holds
+    # rows run in k order, so a row's realization index counts from the first row of its k
+    index = np.arange(len(b.stages)) - np.searchsorted(b.stages, b.stages) + 1
+    return {(k, i, j): v
+            for k, i, row in zip(b.stages.tolist(), index.tolist(), values.tolist())
+            for j, v in enumerate(row[:k], start=1)}
 
 
 @dataclass(frozen=True)
@@ -191,7 +154,7 @@ class ProductForm:
                 if y != 0:
                     return -math.inf
                 continue
-            total += -m + y * math.log(m) - math.lgamma(y + 1)
+            total += poisson_logpmf(m, y)
         return total
 
     def pmf(self, counts) -> float:
@@ -240,13 +203,13 @@ def cell_product_form(spec: NetworkSpec) -> ProductForm:
 def poisson_truncation(mean: float, tail: float = 1e-8) -> int:
     """Smallest K with Poisson(mean) CDF(K) >= 1 - tail.
 
-    The CDF sums exp(-m + y log m - lgamma(y + 1)) upward from y = 0, over a
+    The CDF sums exp(:func:`poisson_logpmf`) upward from y = 0, over a
     range that reaches far past the 1 - tail quantile.
     """
     if mean <= 0:
         return 0
     ys = range(int(mean + 12.0 * math.sqrt(mean) + 40.0))
-    logpmf = np.array([-mean + y * math.log(mean) - math.lgamma(y + 1) for y in ys])
+    logpmf = np.array([poisson_logpmf(mean, y) for y in ys])
     return int(np.searchsorted(np.cumsum(np.exp(logpmf)), 1.0 - tail))
 
 

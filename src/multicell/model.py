@@ -9,8 +9,11 @@ Two session-law forms exist:
 
 * ``DiscreteSessionLaw`` -- the session lasts k stages with probability
   ``stage_probs[k-1]``; given k, the vector of per-stage holding times is one
-  of finitely many weighted realizations. This is the form the closed-form
-  engine consumes.
+  of finitely many weighted realizations. Its flat branch table
+  (:attr:`DiscreteSessionLaw.branches`) and exact stage moments
+  (:meth:`DiscreteSessionLaw.stage_moments`) are what the sampler, the
+  closed-form engine and the simulator's default timing read; only this
+  module walks the nested realizations.
 * ``GenerativeSessionLaw`` -- a sampler producing a session duration T and
   per-stage dwell times tau_1..tau_N (possibly dependent through a shared
   speed multiplier). Holding times follow by clipping T against the dwells;
@@ -27,6 +30,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +84,51 @@ class DiscreteSessionLaw:
     def n_stages(self) -> int:
         return len(self.stage_probs)
 
+    @cached_property
+    def branches(self) -> BranchTable:
+        """One read-only row per (stage count k, realization) pair, in k
+        then realization order."""
+        N = self.n_stages
+        rows = []
+        for k, (pk, per_k) in enumerate(zip(self.stage_probs, self.realizations), start=1):
+            wsum = math.fsum(w for w, _ in per_k)
+            rows += [(k, pk, w, wsum, vec + (0.0,) * (N - k)) for w, vec in per_k]
+        stages, pk, weight, wsum, holds = zip(*rows) if rows else ((),) * 5
+        table = BranchTable(np.array(stages, dtype=np.int64), np.array(pk, dtype=float),
+                            np.array(weight, dtype=float), np.array(wsum, dtype=float),
+                            np.array(holds, dtype=float).reshape(-1, N))
+        for column in table:
+            column.setflags(write=False)
+        return table
+
+    def stage_moments(self) -> StageMoments:
+        """Exact moments of stages j = 1..N: the reach probability
+        1 - fsum(P_1..P_{j-1}) and the conditional mean holding time
+        fsum(P_k w t_kj over the branches) / reach, None where the reach
+        is not positive."""
+        b = self.branches
+        terms = ((b.pk * b.weight)[:, None] * b.holds).T.tolist()
+        reach = tuple(1.0 - math.fsum(self.stage_probs[:j]) for j in range(self.n_stages))
+        return StageMoments(reach, tuple(math.fsum(t) / r if r > 0 else None
+                                         for r, t in zip(reach, terms)))
+
+
+class BranchTable(NamedTuple):
+    """The branches of a :class:`DiscreteSessionLaw`, one row each."""
+
+    stages: np.ndarray   # (B,) stage count k
+    pk: np.ndarray       # (B,) probability of k stages
+    weight: np.ndarray   # (B,) weight of the realization
+    wsum: np.ndarray     # (B,) fsum of the weights of all realizations of k
+    holds: np.ndarray    # (B, N) holding vector, zero past k
+
+
+class StageMoments(NamedTuple):
+    """Per stage j = 1..N of a discrete law, at index j - 1."""
+
+    reach: tuple[float, ...]                # probability a session reaches j
+    mean_hold: tuple[float | None, ...]     # mean hold given j is reached
+
 
 def _pick(p: dict, rng: np.random.Generator, size: int | None):
     return rng.choice(len(p["weights"]), size,
@@ -119,12 +168,12 @@ _FAMILIES = {
                                   if p["low"] > p["high"] else None)),
     "hyperexponential": _Family(
         {"weights": "[nonnegative]", "means": "[positive]"},
-        lambda p: float(np.dot(p["weights"], p["means"])),
+        lambda p: float(np.dot(p["weights"], p["means"])) / math.fsum(p["weights"]),
         lambda p, rng, size: rng.exponential(np.asarray(p["means"])[_pick(p, rng, size)]),
         _choice_rule("means")),
     "discrete": _Family(
         {"values": "[positive]", "weights": "[nonnegative]"},
-        lambda p: float(np.dot(p["weights"], p["values"])),
+        lambda p: float(np.dot(p["weights"], p["values"])) / math.fsum(p["weights"]),
         lambda p, rng, size: np.asarray(p["values"])[_pick(p, rng, size)],
         _choice_rule("values")),
 }
@@ -305,26 +354,18 @@ def sample_sessions(law: SessionLaw, n: int, rng: np.random.Generator
     """Draw ``n`` independent sessions: stage counts ``(n,)`` and holding
     times ``(n, K)`` for a K-stage law, zero past each session's stage count.
 
-    A discrete law takes one categorical draw per session over all
-    (stage count, realization) pairs. A generative law draws ``n``
-    (T, taus) pairs with :meth:`GenerativeSessionLaw.sample` and clips them
-    with :func:`holding_matrix`.
+    A discrete law takes one categorical draw per session over the rows of
+    its branch table with P_k > 0, row (k, i) having probability
+    P_k / sum(P) * w_ki / sum_i(w_ki). A generative law draws ``n`` (T, taus)
+    pairs with :meth:`GenerativeSessionLaw.sample` and clips them with
+    :func:`holding_matrix`.
     """
     if isinstance(law, DiscreteSessionLaw):
-        K = law.n_stages
-        total = math.fsum(law.stage_probs)
-        probs, stages, rows = [], [], []
-        for k, (pk, per_k) in enumerate(zip(law.stage_probs, law.realizations), start=1):
-            if pk <= 0:
-                continue
-            wsum = math.fsum(w for w, _ in per_k)
-            for w, vec in per_k:
-                probs.append(pk / total * w / wsum)
-                stages.append(k)
-                rows.append(vec + (0.0,) * (K - k))
-        probs = np.asarray(probs)
+        b = law.branches
+        live = b.pk > 0
+        probs = b.pk[live] / math.fsum(law.stage_probs) * b.weight[live] / b.wsum[live]
         i = rng.choice(len(probs), size=n, p=probs / probs.sum())
-        return np.asarray(stages)[i], np.asarray(rows, dtype=float).reshape(-1, K)[i]
+        return b.stages[live][i], b.holds[live][i]
     if isinstance(law, GenerativeSessionLaw):
         return holding_matrix(*law.sample(rng, n))
     raise TypeError(f"unsupported session law {type(law).__name__}")

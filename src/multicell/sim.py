@@ -132,34 +132,26 @@ def session_table(spec: NetworkSpec, horizon: float, rng: np.random.Generator) -
     return SessionTable(*(np.concatenate(column) for column in zip(*blocks)))
 
 
-def mean_session_duration(law: SessionLaw) -> float:
-    """Expected total in-network time of one session (approximate for
-    generative laws, where the duration mean is used as an upper proxy)."""
-    if isinstance(law, DiscreteSessionLaw):
-        return sum(
-            p * w * sum(vec)
-            for p, per_k in zip(law.stage_probs, law.realizations)
-            for w, vec in per_k
-        )
-    mean = law.duration.mean()
-    if law.speed is not None and law.speed_scales_duration:
-        mean *= law.speed.mean()
-    return mean
-
-
 def suggested_timing(spec: NetworkSpec) -> tuple[float, float]:
     """(warmup, snapshot_interval) defaults: 10x the longest route mean
-    duration and 5x the longest per-stage mean holding time."""
+    duration and 5x the longest per-stage mean holding time. A generative
+    law's duration mean (times the speed mean when it scales the duration)
+    stands in for the mean time in the network, an upper proxy."""
     max_dur = 0.0
     max_hold = 0.0
     for rs in spec.routes:
-        dur = mean_session_duration(rs.law)
-        max_dur = max(max_dur, dur)
-        if isinstance(rs.law, DiscreteSessionLaw):
-            from .analytic import mean_holding_times
-            holds = [t for t in mean_holding_times(rs.law) if t is not None]
+        law = rs.law
+        if isinstance(law, DiscreteSessionLaw):
+            b = law.branches
+            dur = sum(p * w * sum(row) for p, w, row in
+                      zip(b.pk.tolist(), b.weight.tolist(), b.holds.tolist()))
+            holds = [t for t in law.stage_moments().mean_hold if t is not None]
         else:
-            holds = [min(dur, d.mean()) for d in rs.law.dwells]
+            dur = law.duration.mean()
+            if law.speed is not None and law.speed_scales_duration:
+                dur *= law.speed.mean()
+            holds = [min(dur, d.mean()) for d in law.dwells]
+        max_dur = max(max_dur, dur)
         if holds:
             max_hold = max(max_hold, max(holds))
     return 10.0 * max_dur, 5.0 * max_hold

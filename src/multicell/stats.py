@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ProductForm
+from .analytic import ProductForm, poisson_logpmf
 
 #: Value reported when an empirical support point has zero model probability.
 INFINITE_DIVERGENCE = math.inf
@@ -111,8 +111,7 @@ def _kl_bits(support: np.ndarray, counts: np.ndarray, means) -> float:
         if m == 0.0:
             continue
         values, inverse = np.unique(support[:, j], return_inverse=True)
-        logq += np.array([-m + y * math.log(m) - math.lgamma(y + 1)
-                          for y in values.tolist()])[inverse]
+        logq += np.array([poisson_logpmf(m, y) for y in values.tolist()])[inverse]
     n = int(counts.sum())
     values, inverse = np.unique(counts, return_inverse=True)
     p = np.array([c / n for c in values.tolist()])[inverse]

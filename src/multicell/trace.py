@@ -8,8 +8,7 @@ sessions and per-AP model parameters:
     parse -> filter_window -> filter_invalid_days -> resolve_multi_association
           -> pad_gaps -> classify_open_closed -> extract_sessions
 
-Records travel between the steps as one columnar ``PollTable``; every step
-also accepts a plain list of ``PollRecord`` and converts it once. Each step
+Records travel between the steps as one columnar ``PollTable``. Each step
 is deterministic. ``filter_window`` and ``pad_gaps`` are idempotent on
 their own output. ``filter_invalid_days`` is deliberately single-pass (the
 per-AP average is computed once, before any removal).
@@ -134,10 +133,6 @@ def _ranked(index: dict[str, int], codes) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(names), rank[np.asarray(codes, dtype=np.intp)]
 
 
-def _as_table(records) -> PollTable:
-    return records if isinstance(records, PollTable) else PollTable.from_records(records)
-
-
 @dataclass(frozen=True)
 class SessionRecord:
     user: str
@@ -146,10 +141,6 @@ class SessionRecord:
     @property
     def stage_count(self) -> int:
         return len(self.stages)
-
-    @property
-    def start(self) -> float:
-        return self.stages[0][1]
 
 
 @dataclass(frozen=True)
@@ -266,9 +257,9 @@ def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
     return PollTable.from_codes(times, aps, ap_index, users, user_index, packet_counts), rejects
 
 
-def infer_cadence(records) -> float:
+def infer_cadence(table: PollTable) -> float:
     """Modal positive gap between consecutive distinct poll timestamps."""
-    gaps, counts = np.unique(np.diff(np.unique(_as_table(records).t)), return_counts=True)
+    gaps, counts = np.unique(np.diff(np.unique(table.t)), return_counts=True)
     if not len(gaps):
         raise TraceInputError("cannot infer poll cadence from fewer than 2 distinct "
                               "timestamps; give the cadence explicitly")
@@ -286,10 +277,9 @@ def _excluded(cfg: PreprocessConfig, day: str) -> bool:
     return any(lo <= day <= hi for lo, hi in cfg.excluded_date_ranges)
 
 
-def filter_window(records, cfg: PreprocessConfig) -> PollTable:
+def filter_window(table: PollTable, cfg: PreprocessConfig) -> PollTable:
     """Keep records inside the working window (start inclusive, end
     exclusive), on configured weekdays, outside excluded date ranges."""
-    table = _as_table(records)
     day, second = _utc_days(table.t)
     keep = (np.isin((day + 3) % 7, cfg.weekdays)
             & (cfg.work_start <= second) & (second < cfg.work_end))
@@ -299,7 +289,7 @@ def filter_window(records, cfg: PreprocessConfig) -> PollTable:
     return table.take(keep)
 
 
-def filter_invalid_days(records, cfg: PreprocessConfig, cadence: float
+def filter_invalid_days(table: PollTable, cfg: PreprocessConfig, cadence: float
                         ) -> tuple[PollTable, dict[str, list[str]]]:
     """Drop, per AP, the days whose total service time falls below the
     configured fraction of that AP's across-days average.
@@ -310,7 +300,6 @@ def filter_invalid_days(records, cfg: PreprocessConfig, cadence: float
     ``removed`` lists each AP's dropped ISO days, APs in the order of their
     first poll.
     """
-    table = _as_table(records)
     day, _ = _utc_days(table.t)
     pair_ap, pair_day, inverse, polls = _day_pairs(table.ap, day)
     starts = _group_starts(pair_ap)
@@ -468,7 +457,7 @@ def _fold_pingpong(table: PollTable, cfg: PreprocessConfig, cadence: float
             len(epochs), reassigned)
 
 
-def resolve_multi_association(records, cfg: PreprocessConfig, cadence: float,
+def resolve_multi_association(table: PollTable, cfg: PreprocessConfig, cadence: float,
                               counts: dict | None = None) -> PollTable:
     """Resolve simultaneous multi-AP attachments and ping-pong excursions.
 
@@ -483,7 +472,7 @@ def resolve_multi_association(records, cfg: PreprocessConfig, cadence: float,
     merged away), ``pingpong_filled`` (epochs filled in) and
     ``pingpong_reassigned`` (rows moved to the surrounding AP).
     """
-    table, merged = _merge_multi_association(_as_table(records), cadence)
+    table, merged = _merge_multi_association(table, cadence)
     table, filled, reassigned = _fold_pingpong(table, cfg, cadence)
     if counts is not None:
         counts.update(multi_association_merged=merged, pingpong_filled=filled,
@@ -491,7 +480,7 @@ def resolve_multi_association(records, cfg: PreprocessConfig, cadence: float,
     return table
 
 
-def pad_gaps(records, cfg: PreprocessConfig, cadence: float) -> PollTable:
+def pad_gaps(table: PollTable, cfg: PreprocessConfig, cadence: float) -> PollTable:
     """Bridge absences shorter than the departure threshold.
 
     A user absent from all APs for less than the threshold and then
@@ -499,7 +488,6 @@ def pad_gaps(records, cfg: PreprocessConfig, cadence: float) -> PollTable:
     missing epochs. Longer absences are left alone and split sessions
     later.
     """
-    table = _as_table(records)
     t, user = table.t, table.user
     gap = t[1:] - t[:-1]
     after = np.flatnonzero((user[1:] == user[:-1]) & (cadence + 1e-9 < gap)
@@ -510,11 +498,10 @@ def pad_gaps(records, cfg: PreprocessConfig, cadence: float) -> PollTable:
     return _with_fills(table, epochs, table.ap[after + 1][which], user[after][which])
 
 
-def classify_open_closed(records, cfg: PreprocessConfig, cadence: float
+def classify_open_closed(table: PollTable, cfg: PreprocessConfig, cadence: float
                          ) -> tuple[set[str], set[str], float]:
     """Split users into open and closed; a user attached at least the
     configured number of hours on any single day is closed."""
-    table = _as_table(records)
     present = np.unique(table.user)
     if not len(present):
         return set(), set(), 0.0
@@ -533,7 +520,7 @@ def _select_users(table: PollTable, users) -> PollTable:
     return table.take(keep[table.user])
 
 
-def extract_sessions(records, cfg: PreprocessConfig, cadence: float,
+def extract_sessions(table: PollTable, cfg: PreprocessConfig, cadence: float,
                      users=None) -> tuple[list[SessionRecord], Counter]:
     """Turn preprocessed records into sessions and the stage-count table.
 
@@ -543,7 +530,6 @@ def extract_sessions(records, cfg: PreprocessConfig, cadence: float,
     into one session; an absence of at least the departure threshold starts
     a new session.
     """
-    table = _as_table(records)
     if users is not None:
         table = _select_users(table, users)
     t, ap, user = table.t, table.ap, table.user
@@ -613,9 +599,8 @@ class APValidity:
         return bool(self.independence.passed) and bool(self.poisson.passed)
 
 
-def observed_days(records) -> dict[str, set[str]]:
+def observed_days(table: PollTable) -> dict[str, set[str]]:
     """Per AP, the set of ISO days with at least one (surviving) record."""
-    table = _as_table(records)
     pair_ap, pair_day, _, _ = _day_pairs(table.ap, _utc_days(table.t)[0])
     iso = {d: _iso(d) for d in np.unique(pair_day).tolist()}
     days: dict[str, set[str]] = {}
@@ -772,7 +757,7 @@ def _no_sessions(counts: dict, cfg: PreprocessConfig) -> str:
             f"{c['rows_in']} records")
 
 
-def run_pipeline(records, cfg: PreprocessConfig, rejects=None,
+def run_pipeline(polls: PollTable, cfg: PreprocessConfig, rejects=None,
                  interval: float = 3600.0,
                  eta_threshold: float = 0.15,
                  theta_threshold: float = 0.15) -> TraceResult:
@@ -781,7 +766,6 @@ def run_pipeline(records, cfg: PreprocessConfig, rejects=None,
     Raises ``TraceInputError`` when the cadence cannot be inferred or no
     session survives, naming the step that dropped the records.
     """
-    polls = _as_table(records)
     cadence = cfg.poll_cadence if cfg.poll_cadence is not None else infer_cadence(polls)
     counts: dict = {}
 

@@ -9,6 +9,7 @@ from scipy import stats as sps
 
 from multicell import analytic, model
 from conftest import random_discrete_law
+import law_reference
 
 
 def law_two_stage():
@@ -17,52 +18,39 @@ def law_two_stage():
         (0.5, 0.5), (((1.0, (2.0,)),), ((1.0, (6.0, 8.0)),)))
 
 
+def reach(stage_probs):
+    return model.DiscreteSessionLaw(
+        stage_probs, tuple(((1.0, (1.0,) * k),) for k in range(1, len(stage_probs) + 1))
+    ).stage_moments().reach
+
+
 class TestSurvival:
+    """The reach probabilities of ``DiscreteSessionLaw.stage_moments``."""
+
     def test_first_stage_is_one(self):
-        assert analytic.survival([0.5, 0.3, 0.2], 1) == 1.0
+        assert reach([0.5, 0.3, 0.2])[0] == 1.0
 
     def test_third_stage(self):
-        assert analytic.survival([0.5, 0.3, 0.2], 3) == pytest.approx(0.2)
+        assert reach([0.5, 0.3, 0.2])[2] == pytest.approx(0.2)
 
     def test_single_stage(self):
-        assert analytic.survival([1.0], 1) == 1.0
+        assert reach([1.0]) == (1.0,)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            analytic.survival([1.0], 2)
-
-
-class TestTransitionProb:
-    def test_hand_evaluated_ratios(self):
-        assert analytic.transition_prob([0.5, 0.3, 0.2], 1) == pytest.approx((0.5, 0.5))
-        cont, term = analytic.transition_prob([0.5, 0.3, 0.2], 2)
-        assert cont == pytest.approx(0.4)
-        assert term == pytest.approx(0.6)
-
-    def test_last_stage_terminates(self):
-        assert analytic.transition_prob([0.5, 0.3, 0.2], 3) == (0.0, 1.0)
-        assert analytic.transition_prob([1.0], 1) == (0.0, 1.0)
-
-    def test_unreachable_stage_is_error(self):
-        with pytest.raises(ValueError, match="unreachable"):
-            analytic.transition_prob([1.0, 0.0], 2)
-
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6))
-    @settings(max_examples=200)
-    def test_pair_sums_to_one_exactly(self, seed, k):
-        law = random_discrete_law(np.random.default_rng(seed))
-        k = min(k, law.n_stages)
-        cont, term = analytic.transition_prob(law.stage_probs, k)
-        assert abs(cont + term - 1.0) < 1e-12
+        # one entry per stage of the law, none past it
+        assert len(reach([1.0])) == 1
+        assert len(reach([0.5, 0.3, 0.2])) == 3
 
 
 class TestMeanHoldingTimes:
+    """The conditional mean holds of ``DiscreteSessionLaw.stage_moments``."""
+
     def test_single_realization(self):
         law = model.DiscreteSessionLaw((1.0,), (((1.0, (4.0,)),),))
-        assert analytic.mean_holding_times(law) == [4.0]
+        assert law.stage_moments().mean_hold == (4.0,)
 
     def test_two_stage_example(self):
-        t = analytic.mean_holding_times(law_two_stage())
+        t = law_two_stage().stage_moments().mean_hold
         assert t[0] == pytest.approx(4.0)   # (0.5*2 + 0.5*6) / 1
         assert t[1] == pytest.approx(8.0)   # (0.5*8) / 0.5
 
@@ -70,12 +58,12 @@ class TestMeanHoldingTimes:
         law = model.DiscreteSessionLaw(
             (0.0, 1.0),
             ((), ((0.5, (1.0, 10.0)), (0.5, (3.0, 2.0)))))
-        assert analytic.mean_holding_times(law) == pytest.approx([2.0, 6.0])
+        assert law.stage_moments().mean_hold == pytest.approx((2.0, 6.0))
 
     def test_unreachable_stage_is_none(self):
         law = model.DiscreteSessionLaw(
             (1.0, 0.0), (((1.0, (4.0,)),), ()))
-        assert analytic.mean_holding_times(law) == [4.0, None]
+        assert law.stage_moments().mean_hold == (4.0, None)
 
 
 class TestStageMeans:
@@ -300,10 +288,57 @@ class TestFormulaLevelInsensitivity:
             p, (((1.0, (3.0,)),), ((0.5, (1.0, 9.0)), (0.5, (5.0, 1.0)))))
         lawB = model.DiscreteSessionLaw(
             p, (((0.5, (2.0,)), (0.5, (4.0,))), ((1.0, (3.0, 5.0)),)))
-        tA = analytic.mean_holding_times(lawA)
-        tB = analytic.mean_holding_times(lawB)
+        tA = lawA.stage_moments().mean_hold
+        tB = lawB.stage_moments().mean_hold
         assert tA == pytest.approx(tB)
         smA = analytic.stage_means(model.RouteSpec(model.Route((1, 2)), 2.0, lawA))
         smB = analytic.stage_means(model.RouteSpec(model.Route((1, 2)), 2.0, lawB))
         assert smA.w == pytest.approx(smB.w, abs=1e-12)
         assert smA.w_prime == pytest.approx(smB.w_prime, abs=1e-12)
+
+
+PINNED_LAWS = [
+    # stage count 1 has probability 0 and no realizations
+    model.DiscreteSessionLaw((0.0, 1.0), ((), ((0.5, (1.0, 10.0)), (0.5, (3.0, 2.0))))),
+    # the middle stage count has none either; the last is reached with 0.4
+    model.DiscreteSessionLaw((0.6, 0.0, 0.4),
+                             (((0.25, (2.0,)), (0.75, (5.0,))), (), ((1.0, (1.0, 4.0, 9.0)),))),
+    # zero probability but realizations present, and a zero-weight realization
+    model.DiscreteSessionLaw((1.0, 0.0), (((1.0, (4.0,)), (0.0, (7.0,))), ((1.0, (3.0, 3.0)),))),
+    # relative stage probabilities and weights, as a law built in code may have
+    model.DiscreteSessionLaw((0.3, 0.3), (((1.0, (2.0,)), (3.0, (6.0,))), ((2.0, (1.0, 5.0)),))),
+]
+
+
+def assert_same_bits(got: np.ndarray, expected: np.ndarray):
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestAgainstReference:
+    """The branch table and stage moments against the nested-loop readers of
+    ``law_reference``, bit for bit."""
+
+    def check(self, law, seed):
+        got = model.sample_sessions(law, 300, np.random.default_rng(seed))
+        expected = law_reference.sample_sessions(law, 300, np.random.default_rng(seed))
+        for g, e in zip(got, expected):
+            assert_same_bits(g, e)
+        moments = law.stage_moments()
+        assert moments.reach == tuple(law_reference.survival(law.stage_probs, j)
+                                      for j in range(1, law.n_stages + 1))
+        assert list(moments.mean_hold) == law_reference.mean_holding_times(law)
+        rs = model.RouteSpec(model.Route(tuple(range(1, law.n_stages + 1))), 1.7, law)
+        assert (list(analytic.decoupled_means(rs).items())
+                == list(law_reference.decoupled_means(rs).items()))
+        assert analytic.stage_means(rs) == law_reference.stage_means(rs)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_laws_equal_reference(self, seed):
+        self.check(random_discrete_law(np.random.default_rng(seed)), seed)
+
+    @pytest.mark.parametrize("law", PINNED_LAWS)
+    def test_pinned_laws_equal_reference(self, law):
+        self.check(law, 7)

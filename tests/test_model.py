@@ -320,6 +320,7 @@ class TestDistFamilies:
         (model.Dist.make("lognormal", mu=0.0, sigma=0.5), math.exp(0.125)),
         (model.Dist.make("hyperexponential", weights=[0.3, 0.7], means=[1.0, 10.0]), 7.3),
         (model.Dist.make("discrete", values=[1.0, 3.0], weights=[0.5, 0.5]), 2.0),
+        (model.Dist.make("discrete", values=[100, 300], weights=[1, 1]), 200.0),
     ])
     def test_sample_mean_matches_analytic_mean(self, dist, expected, rng):
         assert dist.mean() == pytest.approx(expected)

@@ -16,6 +16,9 @@ MON9 = datetime(2004, 1, 5, 9, 0, tzinfo=timezone.utc).timestamp()   # Monday 09
 CFG = trace.PreprocessConfig(poll_cadence=CAD)
 
 
+poll_table = trace.PollTable.from_records
+
+
 def polls(entries):
     """entries: (epoch_index_from_MON9, ap, user[, packets])."""
     out = []
@@ -55,12 +58,12 @@ class TestParsePolls:
     def test_cadence_inference(self):
         records = polls([(0, "AP1", "u1"), (1, "AP1", "u1"), (2, "AP1", "u1"),
                          (4, "AP1", "u1")])
-        assert trace.infer_cadence(records) == CAD
+        assert trace.infer_cadence(poll_table(records)) == CAD
 
     def test_sub_microsecond_cadence_rejected(self):
         records = [trace.PollRecord(MON9 + i * 1e-7, "AP1", "u1", 1) for i in range(3)]
         with pytest.raises(trace.TraceInputError, match="rounds to 0"):
-            trace.infer_cadence(records)
+            trace.infer_cadence(poll_table(records))
 
     def test_out_of_range_rows_rejected_with_line(self):
         text = "1e12,AP1,u1,5\n100.0,AP1,u1,%d\n200.0,AP1,u1,1\n" % 2 ** 63
@@ -74,19 +77,19 @@ class TestFilterWindow:
     def test_weekend_removed(self):
         sat = datetime(2004, 1, 10, 10, 0, tzinfo=timezone.utc).timestamp()
         records = [trace.PollRecord(sat, "AP1", "u1", 1)] + polls([(0, "AP1", "u1")])
-        assert len(trace.filter_window(records, CFG)) == 1
+        assert len(trace.filter_window(poll_table(records), CFG)) == 1
 
     def test_nine_sharp_kept_five_pm_dropped(self):
         at9 = trace.PollRecord(MON9, "AP1", "u1", 1)
         at17 = trace.PollRecord(MON9 + 8 * 3600, "AP1", "u1", 1)
-        kept = trace.filter_window([at9, at17], CFG)
+        kept = trace.filter_window(poll_table([at9, at17]), CFG)
         assert list(kept) == [at9]
 
     def test_excluded_holiday_range(self):
         cfg = trace.PreprocessConfig(poll_cadence=CAD,
                                      excluded_date_ranges=(("2004-01-05", "2004-01-06"),))
         records = polls([(0, "AP1", "u1")])
-        assert len(trace.filter_window(records, cfg)) == 0
+        assert len(trace.filter_window(poll_table(records), cfg)) == 0
 
 
 class TestFilterInvalidDays:
@@ -96,13 +99,13 @@ class TestFilterInvalidDays:
 
     def test_equal_days_untouched(self):
         records = self._day(0, 10) + self._day(1, 10) + self._day(2, 10)
-        out, removed = trace.filter_invalid_days(records, CFG, CAD)
+        out, removed = trace.filter_invalid_days(poll_table(records), CFG, CAD)
         assert sorted(out) == sorted(records)
         assert removed == {}
 
     def test_low_day_removed(self):
         records = self._day(0, 30) + self._day(1, 30) + self._day(2, 3)   # 3 < avg 21 / 3
-        out, removed = trace.filter_invalid_days(records, CFG, CAD)
+        out, removed = trace.filter_invalid_days(poll_table(records), CFG, CAD)
         assert removed == {"AP1": ["2004-01-07"]}
         assert len(out) == 60
 
@@ -111,14 +114,14 @@ class TestFilterInvalidDays:
         # days only because the average is recomputed; on this data it is a
         # fixed point
         records = self._day(0, 30) + self._day(1, 30) + self._day(2, 3)
-        out, _ = trace.filter_invalid_days(records, CFG, CAD)
+        out, _ = trace.filter_invalid_days(poll_table(records), CFG, CAD)
         out2, removed2 = trace.filter_invalid_days(out, CFG, CAD)
         assert list(out2) == list(out) and removed2 == {}
 
     def test_per_ap_independent(self):
         records = self._day(0, 30, "AP1") + self._day(1, 30, "AP1") \
             + self._day(0, 2, "AP2") + self._day(1, 2, "AP2")
-        _, removed = trace.filter_invalid_days(records, CFG, CAD)
+        _, removed = trace.filter_invalid_days(poll_table(records), CFG, CAD)
         assert removed == {}
 
 
@@ -126,7 +129,7 @@ class TestResolveMultiAssociation:
     def test_packet_majority_wins(self):
         records = polls([(i, "APA", "u1", 60) for i in range(3)]
                         + [(i, "APB", "u1", 20) for i in range(3)])
-        out = trace.resolve_multi_association(records, CFG, CAD)
+        out = trace.resolve_multi_association(poll_table(records), CFG, CAD)
         assert [r.ap for r in out] == ["APA"] * 3
         # packets merged, user-time conserved
         assert [r.packets for r in out] == [80] * 3
@@ -136,12 +139,12 @@ class TestResolveMultiAssociation:
         records = polls([(0, "APA", "u1", 5), (0, "APB", "u1", 3),
                          (1, "APA", "u1", 5), (1, "APB", "u1", 2),
                          (1, "APC", "u1", 10)])
-        out = trace.resolve_multi_association(records, CFG, CAD)
+        out = trace.resolve_multi_association(poll_table(records), CFG, CAD)
         assert [r.ap for r in out] == ["APA", "APA"]
 
     def test_equal_packets_equal_start_lexicographic(self):
         records = polls([(0, "APB", "u1", 30), (0, "APA", "u1", 30)])
-        out = trace.resolve_multi_association(records, CFG, CAD)
+        out = trace.resolve_multi_association(poll_table(records), CFG, CAD)
         assert [r.ap for r in out] == ["APA"]
 
     def test_short_absence_bridged(self):
@@ -152,7 +155,7 @@ class TestResolveMultiAssociation:
         records = [trace.PollRecord(t0 + i * cad, "APA", "u1", 1) for i in range(3)]
         records += [trace.PollRecord(t0 + 2 * cad + 240.0 + i * cad, "APA", "u1", 1)
                     for i in range(3)]
-        out = trace.resolve_multi_association(records, cfg, cad)
+        out = trace.resolve_multi_association(poll_table(records), cfg, cad)
         times = [r.timestamp for r in out]
         assert len(out) == 6 + 3   # three padded epochs
         assert all(b - a == cad for a, b in zip(times, times[1:]))
@@ -164,12 +167,12 @@ class TestResolveMultiAssociation:
             + [(3, "APB", "u1"), (4, "APB", "u1")] \
             + [(i, "APA", "u1") for i in range(5, 8)]
         records = [trace.PollRecord(MON9 + i * cad, ap, u, 10) for i, ap, u in entries]
-        out = trace.resolve_multi_association(records, cfg, cad)
+        out = trace.resolve_multi_association(poll_table(records), cfg, cad)
         assert all(r.ap == "APA" for r in out)
 
     def test_distinct_users_untouched(self):
         records = polls([(0, "APA", "u1"), (0, "APB", "u2")])
-        assert sorted(trace.resolve_multi_association(records, CFG, CAD)) == records
+        assert sorted(trace.resolve_multi_association(poll_table(records), CFG, CAD)) == records
 
 
 class TestPadGaps:
@@ -178,21 +181,21 @@ class TestPadGaps:
         cfg = trace.PreprocessConfig(poll_cadence=cad)
         records = [trace.PollRecord(MON9, "APA", "u1", 1),
                    trace.PollRecord(MON9 + 480.0, "APA", "u1", 1)]
-        out = trace.pad_gaps(records, cfg, cad)
+        out = trace.pad_gaps(poll_table(records), cfg, cad)
         assert len(out) == 2 + 7
         assert all(r.ap == "APA" for r in out)
 
     def test_twelve_minute_absence_not_padded(self):
         records = [trace.PollRecord(MON9, "APA", "u1", 1),
                    trace.PollRecord(MON9 + 720.0, "APA", "u1", 1)]
-        assert list(trace.pad_gaps(records, CFG, CAD)) == records
+        assert list(trace.pad_gaps(poll_table(records), CFG, CAD)) == records
 
     def test_reappearing_ap_gets_the_gap(self):
         cad = 60.0
         cfg = trace.PreprocessConfig(poll_cadence=cad)
         records = [trace.PollRecord(MON9, "APA", "u1", 1),
                    trace.PollRecord(MON9 + 480.0, "APB", "u1", 1)]
-        out = trace.pad_gaps(records, cfg, cad)
+        out = trace.pad_gaps(poll_table(records), cfg, cad)
         padded = [r for r in out if MON9 < r.timestamp < MON9 + 480.0]
         assert padded and all(r.ap == "APB" for r in padded)
 
@@ -200,7 +203,7 @@ class TestPadGaps:
 class TestClassifyOpenClosed:
     def test_eight_hours_is_closed(self):
         records = polls([(i, "AP1", "heavy") for i in range(96)])   # 96*300 s = 8 h
-        open_u, closed_u, frac = trace.classify_open_closed(records, CFG, CAD)
+        open_u, closed_u, frac = trace.classify_open_closed(poll_table(records), CFG, CAD)
         assert closed_u == {"heavy"} and frac == 1.0
 
     def test_two_hours_daily_is_open(self):
@@ -208,20 +211,20 @@ class TestClassifyOpenClosed:
         for d in range(3):
             records += [trace.PollRecord(MON9 + d * 86400 + i * CAD, "AP1", "u1", 1)
                         for i in range(24)]   # 2 h per day
-        open_u, closed_u, frac = trace.classify_open_closed(records, CFG, CAD)
+        open_u, closed_u, frac = trace.classify_open_closed(poll_table(records), CFG, CAD)
         assert open_u == {"u1"} and not closed_u and frac == 0.0
 
     def test_fraction(self):
         records = polls([(i, "AP1", "heavy") for i in range(96)]
                         + [(0, "AP1", "a"), (0, "AP2", "b"), (1, "AP1", "c")])
-        _, closed_u, frac = trace.classify_open_closed(records, CFG, CAD)
+        _, closed_u, frac = trace.classify_open_closed(poll_table(records), CFG, CAD)
         assert closed_u == {"heavy"} and frac == 0.25
 
 
 class TestExtractSessions:
     def test_single_stage_session(self):
         records = polls([(i, "AP1", "u1") for i in range(1, 5)])   # 20 min presence
-        sessions, table = trace.extract_sessions(records, CFG, CAD)
+        sessions, table = trace.extract_sessions(poll_table(records), CFG, CAD)
         assert table == Counter({1: 1})
         (s,) = sessions
         ap, entry, exit_ = s.stages[0]
@@ -231,7 +234,7 @@ class TestExtractSessions:
     def test_two_stage_session(self):
         records = polls([(i, "APA", "u1") for i in range(2)]
                         + [(i, "APB", "u1") for i in range(2, 4)])
-        sessions, table = trace.extract_sessions(records, CFG, CAD)
+        sessions, table = trace.extract_sessions(poll_table(records), CFG, CAD)
         assert table == Counter({2: 1})
         (s,) = sessions
         assert [st[0] for st in s.stages] == ["APA", "APB"]
@@ -241,7 +244,7 @@ class TestExtractSessions:
     def test_long_gap_splits_sessions(self):
         records = polls([(0, "AP1", "u1"), (1, "AP1", "u1"),
                          (10, "AP1", "u1"), (11, "AP1", "u1")])   # 45 min apart
-        sessions, table = trace.extract_sessions(records, CFG, CAD)
+        sessions, table = trace.extract_sessions(poll_table(records), CFG, CAD)
         assert table == Counter({1: 2})
         assert len(sessions) == 2
 
@@ -249,14 +252,14 @@ class TestExtractSessions:
         records = polls([(i, "APA", "u1") for i in range(3)]
                         + [(i, "APB", "u1") for i in range(3, 5)]
                         + [(i, "APA", "u1") for i in range(5, 8)])
-        sessions, _ = trace.extract_sessions(records, CFG, CAD)
+        sessions, _ = trace.extract_sessions(poll_table(records), CFG, CAD)
         for s in sessions:
             for (_, _, x1), (_, e2, _) in zip(s.stages, s.stages[1:]):
                 assert e2 >= x1 - 1e-9
 
     def test_clamped_at_window_boundaries(self):
         records = polls([(0, "AP1", "u1"), (95, "AP1", "u1")])   # first and last epoch
-        sessions, _ = trace.extract_sessions(records, CFG, CAD)
+        sessions, _ = trace.extract_sessions(poll_table(records), CFG, CAD)
         first, last = sessions   # 475 min apart: two sessions
         assert first.stages[0][1] == MON9          # entry clamped to window start
         assert last.stages[0][2] <= MON9 + 8 * 3600 + 1e-9
@@ -394,7 +397,7 @@ class TestUtcDays:
         cfg = trace.PreprocessConfig(poll_cadence=CAD)
         times = [MON9 - 1e-3, MON9, MON9 + 8 * 3600 - 1e-3, MON9 + 8 * 3600]
         records = [trace.PollRecord(t, "AP1", "u1", 1) for t in times]
-        kept = [r.timestamp for r in trace.filter_window(records, cfg)]
+        kept = [r.timestamp for r in trace.filter_window(poll_table(records), cfg)]
         assert kept == [MON9, MON9 + 8 * 3600 - 1e-3]
 
     def test_microsecond_rounding(self):
@@ -403,14 +406,14 @@ class TestUtcDays:
         just_below = float(np.nextafter(MON9, 0.0))
         early = MON9 - 1.2e-6
         records = [trace.PollRecord(t, "AP1", "u1", 1) for t in (just_below, early)]
-        kept = [r.timestamp for r in trace.filter_window(records, CFG)]
+        kept = [r.timestamp for r in trace.filter_window(poll_table(records), CFG)]
         assert kept == [just_below]
         assert [r.timestamp for r in ref.filter_window(records, CFG)] == kept
 
     def test_rounding_carries_into_the_next_day(self):
         saturday = MON0 + 5 * 86400.0
         friday_late = float(np.nextafter(saturday, 0.0))
-        days = trace.observed_days([trace.PollRecord(friday_late, "AP1", "u1", 1)])
+        days = trace.observed_days(poll_table([trace.PollRecord(friday_late, "AP1", "u1", 1)]))
         assert days == {"AP1": {"2004-01-10"}}
 
     @given(st.one_of(
@@ -455,20 +458,20 @@ def assert_same_rows(got, expected):
 def assert_steps_match(records, cfg, cadence):
     """Every step, fed the reference's input, equals the reference step."""
     window = ref.filter_window(records, cfg)
-    assert_same_rows(trace.filter_window(records, cfg), window)
+    assert_same_rows(trace.filter_window(poll_table(records), cfg), window)
     valid, removed = ref.filter_invalid_days(window, cfg, cadence)
-    got, got_removed = trace.filter_invalid_days(window, cfg, cadence)
+    got, got_removed = trace.filter_invalid_days(poll_table(window), cfg, cadence)
     assert_same_rows(got, valid)
     assert got_removed == removed
     resolved = ref.resolve_multi_association(valid, cfg, cadence)
-    assert_same_rows(trace.resolve_multi_association(valid, cfg, cadence), resolved)
+    assert_same_rows(trace.resolve_multi_association(poll_table(valid), cfg, cadence), resolved)
     padded = ref.pad_gaps(resolved, cfg, cadence)
-    assert_same_rows(trace.pad_gaps(resolved, cfg, cadence), padded)
+    assert_same_rows(trace.pad_gaps(poll_table(resolved), cfg, cadence), padded)
     classes = ref.classify_open_closed(padded, cfg, cadence)
-    assert trace.classify_open_closed(padded, cfg, cadence) == classes
-    assert (trace.extract_sessions(padded, cfg, cadence, users=classes[0])
+    assert trace.classify_open_closed(poll_table(padded), cfg, cadence) == classes
+    assert (trace.extract_sessions(poll_table(padded), cfg, cadence, users=classes[0])
             == ref.extract_sessions(padded, cfg, cadence, users=classes[0]))
-    assert trace.observed_days(padded) == ref.observed_days(padded)
+    assert trace.observed_days(poll_table(padded)) == ref.observed_days(padded)
 
 
 def assert_pipelines_match(records, cfg):
@@ -476,9 +479,9 @@ def assert_pipelines_match(records, cfg):
         expected = ref.run_pipeline(records, cfg)
     except ValueError:
         with pytest.raises(ValueError):
-            trace.run_pipeline(records, cfg)
+            trace.run_pipeline(poll_table(records), cfg)
         return
-    got = trace.run_pipeline(records, cfg)
+    got = trace.run_pipeline(poll_table(records), cfg)
     assert got.cadence == expected.cadence
     assert got.removed_days == expected.removed_days
     assert (got.open_users, got.closed_users, got.closed_fraction) == \
@@ -507,15 +510,15 @@ class TestAgainstReference:
             expected = ref.infer_cadence(records)
         except ValueError:
             with pytest.raises(trace.TraceInputError, match="cannot infer poll cadence"):
-                trace.infer_cadence(records)
+                trace.infer_cadence(poll_table(records))
         else:
-            assert trace.infer_cadence(records) == expected
+            assert trace.infer_cadence(poll_table(records)) == expected
         assert_pipelines_match(records, trace.PreprocessConfig())
 
     def test_fixture_pipeline_equals_reference(self):
         records, _ = cli.generate_fixture(demo_spec(), seed=6, days=4, closed_users=2,
                                           bursty_cell=3, burst_size=10, bursts_per_day=4.0)
-        assert_pipelines_match(records, CFG)
+        assert_pipelines_match(list(records), CFG)
 
     def test_occupancy_equals_reference(self):
         records, _ = cli.generate_fixture(demo_spec(), seed=2, days=2)
@@ -544,7 +547,7 @@ class TestPingPongFold:
     @given(histories(), st.sampled_from([60.0, 120.0, 300.0, 600.0]))
     def test_equals_restarting_oracle(self, records, limit):
         cfg = trace.PreprocessConfig(poll_cadence=60.0, pingpong_return=limit)
-        assert_same_rows(trace.resolve_multi_association(records, cfg, 60.0),
+        assert_same_rows(trace.resolve_multi_association(poll_table(records), cfg, 60.0),
                          ref.resolve_multi_association(records, cfg, 60.0))
 
     def test_adversarial_history_is_linear(self):
@@ -558,7 +561,7 @@ class TestPingPongFold:
                                      "u1", 1) for i in range(8000)]
         counts = {}
         start = time.perf_counter()
-        out = trace.resolve_multi_association(records, cfg, cad, counts=counts)
+        out = trace.resolve_multi_association(poll_table(records), cfg, cad, counts=counts)
         assert time.perf_counter() - start < 2.0
         assert len(out) == 16000
         assert counts == {"multi_association_merged": 0, "pingpong_filled": 0,
@@ -571,7 +574,7 @@ class TestPingPongFold:
         entries = [(0, "APA"), (0, "APB"), (1, "APA"), (2, "APC"), (3, "APA"), (6, "APA")]
         records = [trace.PollRecord(MON9 + i * cad, ap, "u1", 1) for i, ap in entries]
         counts = {}
-        out = trace.resolve_multi_association(records, cfg, cad, counts=counts)
+        out = trace.resolve_multi_association(poll_table(records), cfg, cad, counts=counts)
         assert counts == {"multi_association_merged": 1, "pingpong_filled": 2,
                           "pingpong_reassigned": 1}
         assert [(r.timestamp - MON9, r.ap) for r in out] == [
@@ -585,9 +588,10 @@ class TestIdempotence:
     def test_table_steps(self, case):
         cadence, records = case
         cfg = trace.PreprocessConfig(poll_cadence=cadence)
-        window = trace.filter_window(records, cfg)
+        table = poll_table(records)
+        window = trace.filter_window(table, cfg)
         assert list(trace.filter_window(window, cfg)) == list(window)
-        padded = trace.pad_gaps(records, cfg, cadence)
+        padded = trace.pad_gaps(table, cfg, cadence)
         assert list(trace.pad_gaps(padded, cfg, cadence)) == list(padded)
         classes = trace.classify_open_closed(padded, cfg, cadence)
         assert trace.classify_open_closed(padded, cfg, cadence) == classes
@@ -600,7 +604,7 @@ class TestIdempotence:
         cfg = trace.PreprocessConfig(poll_cadence=cad)
         records = [trace.PollRecord(MON9 + i * cad, ap, "u1", 1)
                    for i, ap in ((0, "APA"), (2, "APB"), (4, "APA"))]
-        once = trace.resolve_multi_association(records, cfg, cad)
+        once = trace.resolve_multi_association(poll_table(records), cfg, cad)
         twice = trace.resolve_multi_association(once, cfg, cad)
         assert [r.timestamp - MON9 for r in once] == [0.0, 120.0, 240.0]
         assert [r.timestamp - MON9 for r in twice] == [0.0, 60.0, 120.0, 180.0, 240.0]
