@@ -11,6 +11,10 @@ Subcommands:
 Every run writes a manifest (subcommand, effective arguments, seed, input
 digests, tool version) into the output directory before any result file.
 Exit codes: 0 success, 1 validation failure, 2 runtime failure.
+
+A process loads only the package modules its subcommand runs: ``model`` at
+import, and the others inside the ``cmd_*`` functions and the fixture
+helpers that call them.
 """
 
 from __future__ import annotations
@@ -22,12 +26,15 @@ import json
 import sys
 import time
 import warnings
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, analytic, model, sim, stats, trace
+from . import __version__, model
+
+if TYPE_CHECKING:
+    from . import trace
 
 
 def _digest(path) -> str:
@@ -93,6 +100,8 @@ def _discrete_spec(spec: model.NetworkSpec, samples: int, bin_width: float,
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    from . import analytic
+
     spec = _load_valid_spec(args.config)
     out = Path(args.out)
     write_manifest(out, "analyze", vars(args), [args.config])
@@ -127,6 +136,8 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    from . import analytic, sim
+
     spec = _load_valid_spec(args.config)
     out = Path(args.out)
     write_manifest(out, "simulate", vars(args), [args.config])
@@ -206,6 +217,8 @@ def _bad_snapshot_line(path, width: int) -> str | None:
 
 
 def cmd_compare(args) -> int:
+    from . import analytic, stats
+
     spec = _load_valid_spec(args.config)
     if not Path(args.snapshots).is_file():
         raise ValidationError(f"snapshot file not found: {args.snapshots}")
@@ -254,6 +267,8 @@ def ap_name(cell: int) -> str:
 def _working_day_starts(n_days: int, cfg: trace.PreprocessConfig) -> list[float]:
     """UTC timestamps of the working-window start for the first n weekdays
     from Monday 2004-01-05."""
+    from datetime import datetime, timedelta, timezone
+
     day = datetime(2004, 1, 5, tzinfo=timezone.utc)
     out = []
     while len(out) < n_days:
@@ -296,6 +311,8 @@ def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: flo
     and the stages and sessions that left no poll (the ground truth counts
     them all).
     """
+    from . import sim, trace
+
     pcfg = trace.PreprocessConfig(poll_cadence=cadence)
     window = pcfg.work_end - pcfg.work_start
     day_starts = _working_day_starts(days, pcfg)
@@ -429,6 +446,8 @@ def cmd_fixture(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trace(args) -> int:
+    from . import analytic, stats, trace
+
     if not Path(args.polls).is_file():
         raise ValidationError(f"poll file not found: {args.polls}")
     out = Path(args.out)

@@ -22,6 +22,10 @@ from .analytic import ProductForm, poisson_logpmf
 #: Value reported when an empirical support point has zero model probability.
 INFINITE_DIVERGENCE = math.inf
 
+#: ``from_rows`` counts keys in a table of the whole key range, not by sorting
+#: them, when the range is at most this many times the row count.
+DENSE_KEY_FACTOR = 4
+
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
@@ -39,15 +43,24 @@ class EmpiricalDistribution:
             raise ValueError("need a non-empty (N, d) array of count vectors")
         low = rows.min(axis=0)
         dims = (rows.max(axis=0) - low + 1).tolist()
-        if math.prod(dims) < 2 ** 62:
+        size = math.prod(dims)
+        if size < 2 ** 62:
             # one integer key per row, in the rows' lexicographic order
-            keys, inverse = np.unique(np.ravel_multi_index((rows - low).T, dims),
-                                      return_inverse=True)
+            row_keys = np.ravel_multi_index((rows - low).T, dims)
+            if size <= DENSE_KEY_FACTOR * len(rows):
+                # a key range this small is cheaper to count than to sort
+                seen = np.zeros(size, dtype=bool)
+                seen[row_keys] = True
+                keys = np.flatnonzero(seen)
+                counts = np.bincount(row_keys, weights=weights, minlength=size)[keys]
+            else:
+                keys, inverse = np.unique(row_keys, return_inverse=True)
+                counts = np.bincount(inverse, weights=weights)
             support = np.column_stack(np.unravel_index(keys, dims)) + low
         else:
             support, inverse = np.unique(rows, axis=0, return_inverse=True)
-        counts = np.bincount(inverse.ravel(), weights=weights).astype(np.int64)
-        return cls(support, counts)
+            counts = np.bincount(inverse.ravel(), weights=weights)
+        return cls(support, counts.astype(np.int64))
 
     @property
     def sample_count(self) -> int:

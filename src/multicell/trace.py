@@ -32,11 +32,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .sim import interval_counts
-from .stats import TestReport, independence_test, poisson_dist_test
+
+if TYPE_CHECKING:
+    from .stats import TestReport
 
 PREPROCESSING_NOTES = (
     "gap padding assigns the missing interval to the AP of reappearance",
@@ -662,6 +665,9 @@ def estimate_cell_params(sessions, cfg: PreprocessConfig,
 def test_ap_validity(series: dict[str, list[int]], interval: float = 3600.0,
                      eta_threshold: float = 0.15, theta_threshold: float = 0.15
                      ) -> dict[str, APValidity]:
+    # loaded here, so that fixture, which needs only PollTable, skips stats
+    from .stats import independence_test, poisson_dist_test
+
     return {
         ap: APValidity(ap,
                        independence_test(counts, interval, eta_threshold),

@@ -9,7 +9,7 @@ the ordinary test run.
 import pytest
 
 from multicell import analytic, cli, model, sim, stats, trace
-from conftest import single_cell_spec
+from conftest import run_fresh, single_cell_spec
 
 #: Attributes the replay replaces with timing wrappers, then restores.
 WRAPPED = [
@@ -44,6 +44,29 @@ CALLED = [
                          ids=[f"{o.__name__}.{n}" for o, n in WRAPPED + CALLED])
 def test_attribute_exists(owner, name):
     assert callable(getattr(owner, name, None))
+
+
+def _replay_path(owner, name) -> str:
+    """``owner.name`` as the replay reaches it from the package, for example
+    ``stats.EmpiricalDistribution.project``."""
+    module = getattr(owner, "__module__", owner.__name__)
+    inner = [owner.__qualname__] if isinstance(owner, type) else []
+    return ".".join([module.removeprefix("multicell."), *inner, name])
+
+
+def test_attributes_resolve_from_a_fresh_package_import():
+    # this module imports every submodule itself, which would hide a
+    # submodule that the package no longer loads on first access
+    paths = [_replay_path(o, n) for o, n in WRAPPED + CALLED]
+    assert len(set(paths)) == len(paths)
+    missing = run_fresh("""
+import functools, json, sys
+import multicell as mc
+print(json.dumps([p for p in sys.argv[1:]
+                  if not callable(functools.reduce(lambda o, n: getattr(o, n, None),
+                                                   p.split("."), mc))]))
+""", *paths)
+    assert missing == []
 
 
 @pytest.mark.parametrize("subcommand", ["analyze", "compare"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fixture_reference
 from multicell import cli, model
-from conftest import single_cell_spec
+from conftest import run_fresh, single_cell_spec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -531,3 +531,42 @@ class TestFixtureAgainstReference:
                     for j, (a, b) in enumerate(zip(entry.tolist(), exit_.tolist()))
                     for r in fixture_reference._stage_polls("u", "AP001", a, b, cadence, 10)]
         assert list(zip(stage.tolist(), (epoch * cadence).tolist())) == expected
+
+
+#: Runs ``cli.main`` on the JSON argv given (``import multicell`` alone for
+#: null) and prints the loaded ``multicell`` and ``numpy`` modules.
+_LOADED_MODULES = """
+import json, sys
+argv = json.loads(sys.argv[1])
+import multicell
+if argv is not None:
+    from multicell import cli
+    assert cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("multicell", "numpy"))))
+"""
+
+
+class TestImportGraph:
+    """A process loads only the package modules its subcommand runs."""
+
+    def test_package_import_loads_no_submodule(self):
+        assert run_fresh(_LOADED_MODULES, "null") == ["multicell"]
+
+    @pytest.mark.parametrize("subcommand, loaded", [
+        ("analyze", {"analytic"}),
+        ("simulate", {"analytic", "sim"}),
+        ("compare", {"analytic", "stats"}),
+        ("fixture", {"sim", "trace"}),
+    ])
+    def test_subcommand_loads_only_what_it_runs(self, tmp_path, subcommand, loaded):
+        cfg = write_config(tmp_path, single_cell_spec(rate=0.01, hold=300.0))
+        snapshots = tmp_path / "snapshots.csv"
+        snapshots.write_text("time,y1\n0.0,3\n300.0,2\n600.0,4\n")
+        argv = {"analyze": [], "simulate": ["--horizon", "20000"],
+                "compare": ["--snapshots", str(snapshots), "--repeats", "2"],
+                "fixture": ["--days", "1"]}[subcommand]
+        argv = [subcommand, "--config", cfg, "--out", str(tmp_path / "out"), *argv]
+        modules = run_fresh(_LOADED_MODULES, json.dumps(argv))
+        assert {m for m in modules if m.startswith("multicell")} == {
+            "multicell", "multicell.cli", "multicell.model",
+            *(f"multicell.{m}" for m in loaded)}

@@ -1,8 +1,9 @@
 import math
+from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import stats_reference as ref
 from multicell import analytic, stats
@@ -245,18 +246,23 @@ class TestRandomSubsetStudy:
 @st.composite
 def row_sets(draw):
     """Count vectors with Poisson means: small counts, and per example one
-    of counts far above the means, counts whose key range reaches 2**62
-    (the row-sort fallback), or negative counts; some means are zero."""
+    of counts far above the means (a key range too wide to count densely),
+    counts whose key range reaches 2**62 (the row-sort fallback), negative
+    counts, or many rows over a narrow range (counted densely); some means
+    are zero."""
     d = draw(st.integers(1, 4))
     cell = st.integers(0, 6)
-    extra = draw(st.sampled_from([None, "far", "huge", "negative"]))
+    size = 80
+    extra = draw(st.sampled_from([None, "far", "huge", "negative", "narrow"]))
     if extra == "far":
         cell = st.one_of(cell, st.integers(40, 400))
     elif extra == "huge":
         cell = st.one_of(cell, st.sampled_from([2**40, 2**61, 2**62]))
     elif extra == "negative":
         cell = st.one_of(cell, st.integers(-3, -1))
-    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=1, max_size=80))
+    elif extra == "narrow":
+        cell, size = st.integers(-1, 1), 400
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=1, max_size=size))
     means = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 8.0)),
                           min_size=d, max_size=d))
     return rows, tuple(means)
@@ -274,6 +280,14 @@ class TestAgainstReference:
 
     @settings(max_examples=300, deadline=None)
     @given(row_sets(), st.randoms(use_true_random=False))
+    # one example per counting path of from_rows: a dense key range, a sparse
+    # one, and a key range of 2**62 or more
+    @example(([[0, 1, 2], [1, 0, 2], [0, 1, 2], [2, 2, 0]] * 5, (1.0, 0.0, 2.5)),
+             Random(1))
+    @example(([[0, 300, 2], [7, 0, 2], [0, 300, 2], [2, 40, 0]], (1.0, 0.0, 2.5)),
+             Random(2))
+    @example(([[0, 2**61, 2], [2**61, 0, 2], [0, 2**61, 2], [2, 5, 0]], (1.0, 0.0, 2.5)),
+             Random(3))
     def test_metrics_equal_reference(self, case, random):
         rows, means = case
         emp = stats.empirical_joint(rows)
