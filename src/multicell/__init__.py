@@ -13,7 +13,7 @@ import importlib
 
 __version__ = "0.1.0"   # written into every run's manifest by cli
 
-_SUBMODULES = ("analytic", "cli", "model", "sim", "stats", "trace")
+_SUBMODULES = ("analytic", "cli", "model", "polls", "sim", "stats", "trace")
 __all__ = [*_SUBMODULES, "__version__"]
 
 

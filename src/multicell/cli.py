@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__, model
 
 if TYPE_CHECKING:
-    from . import trace
+    from .polls import PollTable, PreprocessConfig
 
 
 def _digest(path) -> str:
@@ -264,7 +264,7 @@ def ap_name(cell: int) -> str:
     return f"AP{cell:03d}"
 
 
-def _working_day_starts(n_days: int, cfg: trace.PreprocessConfig) -> list[float]:
+def _working_day_starts(n_days: int, cfg: PreprocessConfig) -> list[float]:
     """UTC timestamps of the working-window start for the first n weekdays
     from Monday 2004-01-05."""
     from datetime import datetime, timedelta, timezone
@@ -296,7 +296,7 @@ def _poll_grid(entry: np.ndarray, exit_: np.ndarray, cadence: float
 def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: float = 300.0,
                      closed_users: int = 0, bursty_cell: int | None = None,
                      burst_size: int = 10, bursts_per_day: float = 6.0,
-                     counts: dict | None = None) -> tuple[trace.PollTable, dict]:
+                     counts: dict | None = None) -> tuple[PollTable, dict]:
     """Synthetic polling trace with known ground truth.
 
     Per working day, one independent simulation replication fills the
@@ -311,9 +311,10 @@ def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: flo
     and the stages and sessions that left no poll (the ground truth counts
     them all).
     """
-    from . import sim, trace
+    from . import sim
+    from .polls import PollTable, PreprocessConfig
 
-    pcfg = trace.PreprocessConfig(poll_cadence=cadence)
+    pcfg = PreprocessConfig(poll_cadence=cadence)
     window = pcfg.work_end - pcfg.work_start
     day_starts = _working_day_starts(days, pcfg)
     rng = np.random.default_rng(seed)
@@ -363,7 +364,7 @@ def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: flo
     closed_user = len(users) - closed_users + np.repeat(
         np.tile(np.arange(closed_users), len(day_starts)), n_epochs)
     user_index = {name: i for i, name in enumerate(users)}
-    polls = trace.PollTable.from_codes(
+    polls = PollTable.from_codes(
         np.concatenate([epoch * cadence, closed_t]),
         np.concatenate([aps[visit], np.full(len(closed_t), ap_index[ap_name(1)])]),
         ap_index, np.concatenate([session[visit], closed_user]), user_index,
@@ -410,7 +411,7 @@ def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: flo
     return polls, truth
 
 
-def write_polls_csv(polls: trace.PollTable, path) -> None:
+def write_polls_csv(polls: PollTable, path) -> None:
     """``timestamp,ap,user,packets`` rows in (timestamp, ap, user) order."""
     order = np.lexsort((polls.user, polls.ap, polls.t))
     _write_csv(path, ["timestamp", "ap", "user", "packets"],
@@ -462,7 +463,9 @@ def cmd_trace(args) -> int:
     except ValueError as exc:
         raise ValidationError(f"invalid trace settings: {exc}") from exc
     try:
+        start = time.perf_counter()
         records, rejects = trace.parse_polls(args.polls)
+        parsed_s = time.perf_counter() - start
         if not records:
             raise ValidationError(f"no usable poll records in {args.polls}")
         result = trace.run_pipeline(records, pcfg, rejects=rejects,
@@ -473,7 +476,8 @@ def cmd_trace(args) -> int:
         raise ValidationError(f"{args.polls}: {exc}") from exc
     _write_json(out / "run.json", {"parse_polls": {"rows_in": len(records) + len(rejects),
                                                    "rows_out": len(records),
-                                                   "rejected": len(rejects)},
+                                                   "rejected": len(rejects),
+                                                   "wall_s": parsed_s},
                                    **result.counts})
 
     sessions, excluded = trace.exclusion_modes(
@@ -491,9 +495,9 @@ def cmd_trace(args) -> int:
                  "" if v.poisson.statistic is None else repr(v.poisson.statistic),
                  v.poisson.passed, v.valid] for ap, v in sorted(result.validity.items())))
 
-    # empirical occupancy at poll cadence vs fitted product form
+    # empirical occupancy at the observed poll epochs vs fitted product form
     aps = sorted(set(result.estimates) - excluded)
-    occupancy = trace.occupancy_snapshots(sessions, aps, np.unique(records.t))
+    occupancy = trace.occupancy_snapshots(sessions, aps, result.epochs)
     form = analytic.ProductForm(
         tuple(result.estimates[ap].poisson_mean for ap in aps), tuple(aps))
     rows = []

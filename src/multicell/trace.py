@@ -8,7 +8,8 @@ sessions and per-AP model parameters:
     parse -> filter_window -> filter_invalid_days -> resolve_multi_association
           -> pad_gaps -> classify_open_closed -> extract_sessions
 
-Records travel between the steps as one columnar ``PollTable``. Each step
+Records travel between the steps as one columnar ``PollTable`` (defined in
+``multicell.polls``), and sessions leave as one ``StageTable``. Each step
 is deterministic. ``filter_window`` and ``pad_gaps`` are idempotent on
 their own output. ``filter_invalid_days`` is deliberately single-pass (the
 per-AP average is computed once, before any removal).
@@ -29,17 +30,19 @@ from __future__ import annotations
 import csv
 import gzip
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
-from typing import TYPE_CHECKING
+from itertools import chain, compress
+from types import SimpleNamespace
 
 import numpy as np
 
+# PollRecord is here for callers: the rows a PollTable yields
+from .polls import PollRecord, PollTable, PreprocessConfig
 from .sim import interval_counts
-
-if TYPE_CHECKING:
-    from .stats import TestReport
+from .stats import TestReport, independence_test, poisson_dist_test
 
 PREPROCESSING_NOTES = (
     "gap padding assigns the missing interval to the AP of reappearance",
@@ -59,81 +62,12 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 #: Timestamps of 0001-01-01 and 10000-01-01 UTC: the dates an ISO day can name.
 _TS_MIN, _TS_MAX = -62135596800.0, 253402300800.0
 _INT64_MAX = 2 ** 63 - 1
+#: Characters of poll text read per block.
+_BLOCK = 1 << 16
 
 
 class TraceInputError(ValueError):
     """The poll records cannot yield a result; the message says why."""
-
-
-@dataclass(frozen=True, order=True)
-class PollRecord:
-    timestamp: float
-    ap: str
-    user: str
-    packets: int
-
-
-@dataclass(frozen=True, eq=False)
-class PollTable:
-    """Poll records as columns, rows in (user, timestamp, ap) order.
-
-    ``t`` holds float64 timestamps, ``ap`` and ``user`` integer codes into
-    the sorted name tuples ``aps`` and ``users`` (so code order is name
-    order), ``packets`` int64 counts. Iteration yields ``PollRecord`` rows.
-    """
-    t: np.ndarray
-    ap: np.ndarray
-    user: np.ndarray
-    packets: np.ndarray
-    aps: tuple[str, ...]
-    users: tuple[str, ...]
-
-    @classmethod
-    def from_codes(cls, t, ap, ap_index: dict[str, int], user, user_index: dict[str, int],
-                   packets) -> PollTable:
-        """A table from per-row timestamps, packets and AP and user codes,
-        where each index maps a name to its code in order of first sight."""
-        ap_names, ap = _ranked(ap_index, ap)
-        user_names, user = _ranked(user_index, user)
-        return cls(np.asarray(t, dtype=float), ap, user,
-                   np.asarray(packets, dtype=np.int64), ap_names, user_names).ordered()
-
-    @classmethod
-    def from_records(cls, records) -> PollTable:
-        """A table from ``PollRecord`` rows."""
-        ap_index: dict[str, int] = {}
-        user_index: dict[str, int] = {}
-        return cls.from_codes([r.timestamp for r in records],
-                              [ap_index.setdefault(r.ap, len(ap_index)) for r in records],
-                              ap_index,
-                              [user_index.setdefault(r.user, len(user_index)) for r in records],
-                              user_index, [r.packets for r in records])
-
-    def ordered(self) -> PollTable:
-        """The same rows in (user, timestamp, ap) order; ties keep their order."""
-        return self.take(np.lexsort((self.ap, self.t, self.user)))
-
-    def take(self, rows) -> PollTable:
-        """The rows selected by an index array or a boolean mask, in that order."""
-        return PollTable(self.t[rows], self.ap[rows], self.user[rows], self.packets[rows],
-                         self.aps, self.users)
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __iter__(self):
-        aps, users = self.aps, self.users
-        for t, ap, user, packets in zip(self.t.tolist(), self.ap.tolist(),
-                                        self.user.tolist(), self.packets.tolist()):
-            yield PollRecord(t, aps[ap], users[user], packets)
-
-
-def _ranked(index: dict[str, int], codes) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted names of a first-sight index, and codes moved into them."""
-    names = sorted(index)
-    rank = np.empty(len(names), dtype=np.intp)
-    rank[[index[name] for name in names]] = np.arange(len(names))
-    return tuple(names), rank[np.asarray(codes, dtype=np.intp)]
 
 
 @dataclass(frozen=True)
@@ -141,31 +75,59 @@ class SessionRecord:
     user: str
     stages: tuple[tuple[str, float, float], ...]   # (ap, entry, exit)
 
-    @property
-    def stage_count(self) -> int:
-        return len(self.stages)
 
+@dataclass(frozen=True, eq=False)
+class StageTable:
+    """Sessions as stage rows, in session then stage order.
 
-@dataclass(frozen=True)
-class PreprocessConfig:
-    departure_threshold: float = 600.0       # seconds; gaps >= this split sessions
-    pingpong_return: float = 300.0           # seconds; shorter excursions/absences rejoin
-    closed_user_hours: float = 7.5           # daily presence at/above this marks a closed user
-    valid_day_fraction: float = 1.0 / 3.0
-    work_start: float = 9 * 3600.0           # seconds of day, inclusive
-    work_end: float = 17 * 3600.0            # seconds of day, exclusive
-    weekdays: tuple[int, ...] = (0, 1, 2, 3, 4)   # Monday=0
-    excluded_date_ranges: tuple[tuple[str, str], ...] = ()   # inclusive ISO dates
-    poll_cadence: float | None = None        # seconds; None = infer from data
+    ``session`` numbers each stage's session from 0, ``ap`` codes its AP
+    into ``aps``, and ``entry`` and ``exit`` are float64 times; ``user``
+    holds one code into ``users`` per session. The name tuples are sorted,
+    so code order is name order. Iteration yields ``SessionRecord`` rows.
+    """
+    session: np.ndarray
+    ap: np.ndarray
+    entry: np.ndarray
+    exit: np.ndarray
+    user: np.ndarray
+    aps: tuple[str, ...]
+    users: tuple[str, ...]
 
-    def __post_init__(self):
-        if not (self.departure_threshold > 0 and self.pingpong_return > 0
-                and self.closed_user_hours > 0):
-            raise ValueError("durations must be positive")
-        if self.poll_cadence is not None and not 0 < self.poll_cadence < math.inf:
-            raise ValueError(f"poll cadence must be positive and finite, got {self.poll_cadence}")
-        if not 0 < self.valid_day_fraction < 1:
-            raise ValueError("valid_day_fraction must be in (0, 1)")
+    @classmethod
+    def from_sessions(cls, records) -> StageTable:
+        """A table from ``SessionRecord`` rows, each with at least one stage."""
+        records = list(records)
+        stages = [stage for r in records for stage in r.stages]
+        aps = tuple(sorted({ap for ap, _, _ in stages}))
+        users = tuple(sorted({r.user for r in records}))
+        ap_code = {name: i for i, name in enumerate(aps)}
+        user_code = {name: i for i, name in enumerate(users)}
+        return cls(np.repeat(np.arange(len(records)), [len(r.stages) for r in records]),
+                   np.array([ap_code[ap] for ap, _, _ in stages], dtype=np.intp),
+                   np.array([e for _, e, _ in stages], dtype=float),
+                   np.array([x for _, _, x in stages], dtype=float),
+                   np.array([user_code[r.user] for r in records], dtype=np.intp), aps, users)
+
+    def first_stages(self) -> np.ndarray:
+        """Row of each session's first stage."""
+        return np.flatnonzero(np.diff(self.session, prepend=-1))
+
+    def take(self, keep: np.ndarray) -> StageTable:
+        """The sessions selected by a boolean mask, numbered again from 0."""
+        rows = keep[self.session]
+        return StageTable((np.cumsum(keep) - 1)[self.session[rows]], self.ap[rows],
+                          self.entry[rows], self.exit[rows], self.user[keep],
+                          self.aps, self.users)
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __iter__(self):
+        stages = list(zip([self.aps[a] for a in self.ap.tolist()],
+                          self.entry.tolist(), self.exit.tolist()))
+        bounds = np.r_[self.first_stages(), len(stages)].tolist()
+        for u, lo, hi in zip(self.user.tolist(), bounds, bounds[1:]):
+            yield SessionRecord(self.users[u], tuple(stages[lo:hi]))
 
 
 def _utc_days(t) -> tuple[np.ndarray, np.ndarray]:
@@ -194,6 +156,13 @@ def _day_pairs(codes: np.ndarray, day: np.ndarray):
     return pair_code, pair_day + d0, inverse, counts
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values. (A bare ``np.unique`` imports ``numpy.ma``
+    in numpy 2, about 20 ms of a fresh process.)"""
+    values = np.sort(values)
+    return values[np.r_[True, values[1:] != values[:-1]]] if len(values) else values
+
+
 def _group_starts(keys: np.ndarray) -> np.ndarray:
     """First index of each run of equal values in a sorted array."""
     if not len(keys):
@@ -201,68 +170,185 @@ def _group_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
 
 
+def _poll_row(row: list[str]):
+    """A CSV row's (timestamp, packets), or why the row is rejected."""
+    if len(row) != 4:
+        return f"expected 4 fields, got {len(row)}"
+    try:
+        ts = float(row[0])
+        packets = int(row[3])
+    except ValueError as exc:
+        return str(exc)
+    if not math.isfinite(ts):
+        return "non-finite timestamp"
+    if not _TS_MIN <= ts < _TS_MAX:
+        return "timestamp outside the years 1-9999"
+    if packets < 0:
+        return f"negative packets {packets}"
+    if packets > _INT64_MAX:
+        return f"packets {packets} above 2**63 - 1"
+    return ts, packets
+
+
+def _blocks(fh, path):
+    """The file's lines in blocks of about ``_BLOCK`` characters, each with
+    its text and that text as UTF-8 bytes. A line holding a byte that is not
+    UTF-8 raises ``TraceInputError`` naming the line."""
+    line = 0
+    while True:
+        try:
+            lines = fh.readlines(_BLOCK)
+        except (OSError, EOFError, UnicodeDecodeError) as exc:
+            raise TraceInputError(
+                f"cannot read poll records from {path} after line {line}: {exc}") from exc
+        if not lines:
+            return
+        text = "".join(lines)
+        try:
+            data = text.encode()
+        except UnicodeEncodeError as exc:
+            # undecodable bytes arrive as the surrogates U+DC80..U+DCFF
+            bad = text[exc.start]
+            what = f"byte {ord(bad) - 0xDC00:#04x}" if "\udc80" <= bad <= "\udcff" else repr(bad)
+            raise TraceInputError(
+                f"cannot read poll records from {path}: line "
+                f"{line + text.count(chr(10), 0, exc.start) + 1} holds {what}, "
+                "which is not UTF-8") from None
+        yield lines, text, data
+        line += len(lines)
+
+
+def _line_kinds(data: bytes, n: int) -> tuple[np.ndarray, int]:
+    """Per line of a block of n lines encoded as ``data``, whether it is
+    plain (three commas, no carriage return, no longer than a CSV field may
+    be); and the index of the first line holding a quote (n if none)."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(b == 10)
+    if len(ends) < n:
+        ends = np.r_[ends, len(b)]
+    plain = ((np.diff(np.searchsorted(np.flatnonzero(b == 44), ends), prepend=0) == 3)
+             & (np.diff(ends, prepend=-1) <= csv.field_size_limit()))
+    if b"\r" in data:
+        plain[np.searchsorted(ends, np.flatnonzero(b == 13))] = False
+    quote = data.find(b'"')
+    return plain, n if quote < 0 else int(np.searchsorted(ends, quote))
+
+
+def _codes(names: list[str], index: dict[str, int]) -> np.ndarray:
+    """Codes of the stripped names in a first-sight index, extended."""
+    raw = dict.fromkeys(names)
+    for name in raw:
+        raw[name] = index.setdefault(name.strip(), len(index))
+    return np.fromiter(map(raw.__getitem__, names), dtype=np.intp, count=len(names))
+
+
 def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
     """Read poll records from a path or file object.
 
-    Returns (a ``PollTable``, rejects). Each reject is (line number, raw
-    line, reason); malformed lines are reported, never silently dropped.
-    Gzip-compressed files are accepted by suffix. A file that cannot be
-    read as text raises ``TraceInputError`` naming the file and line.
+    Returns (a ``PollTable``, rejects). Each reject is (record number, raw
+    line, reason); malformed lines are reported, never silently dropped. A
+    record is one CSV row, so after a quoted field that spans lines the
+    record numbers run behind the line numbers. Files are UTF-8 with an
+    optional byte-order mark, gzip-compressed by suffix. A file that cannot
+    be read as text raises ``TraceInputError`` naming the file and line.
+
+    Lines are read in blocks, and the plain lines of a block are split and
+    converted as columns. ``csv`` reads the other lines, and all lines from
+    the first quote on; ``_poll_row`` checks them and every row that fails
+    a column check, so reject reasons come from it alone.
     """
     close = False
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         path = str(source)
-        fh = gzip.open(path, "rt") if path.endswith(".gz") else open(path)
+        fh = (gzip.open if path.endswith(".gz") else open)(
+            path, "rt", encoding="utf-8-sig", errors="surrogateescape")
         close = True
     else:
         path, fh = getattr(source, "name", "<stream>"), source
-    times, aps, users, packet_counts, rejects = [], [], [], [], []
     ap_index: dict[str, int] = {}
     user_index: dict[str, int] = {}
-    reader = csv.reader(fh)
+    columns: list[tuple] = []   # per block of plain lines: record, t, ap, user, packets
+    rows: tuple[list, ...] = ([], [], [], [], [])   # the same, row by row
+    rejects: list[tuple[int, str, str]] = []
+
+    def one_row(record: int, row: list[str]) -> None:
+        if not row or (record == 1 and row[0].strip().lower() == "timestamp"):
+            return
+        got = _poll_row(row)
+        if isinstance(got, str):
+            rejects.append((record, ",".join(row), got))
+            return
+        for column, value in zip(rows, (record, got[0],
+                                        ap_index.setdefault(row[1].strip(), len(ap_index)),
+                                        user_index.setdefault(row[2].strip(), len(user_index)),
+                                        got[1])):
+            column.append(value)
+
+    def plain_rows(text: str, records: np.ndarray) -> None:
+        n = len(records)
+        parts = text.replace("\n", ",").split(",")
+        try:
+            t = np.array(parts[0:4 * n:4], dtype=float)
+            packets = np.array(parts[3:4 * n:4], dtype=np.int64)
+        except (ValueError, OverflowError):   # a bad row, or packets beyond int64
+            ok = np.zeros(n, dtype=bool)
+        else:
+            ok = np.isfinite(t) & (_TS_MIN <= t) & (t < _TS_MAX) & (packets >= 0)
+        for i in np.flatnonzero(~ok).tolist():
+            one_row(int(records[i]), parts[4 * i:4 * i + 4])
+        if ok.any():
+            keep = ok.tolist()
+            columns.append((records[ok], t[ok],
+                            _codes(list(compress(parts[1:4 * n:4], keep)), ap_index),
+                            _codes(list(compress(parts[2:4 * n:4], keep)), user_index),
+                            packets[ok]))
+
+    record = 0   # lines read so far, also the records: quotes end the blocks
+    blocks = _blocks(fh, path)
     try:
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (lineno == 1 and row[0].strip().lower() == "timestamp"):
-                continue
-            raw = ",".join(row)
-            if len(row) != 4:
-                rejects.append((lineno, raw, f"expected 4 fields, got {len(row)}"))
-                continue
-            try:
-                ts = float(row[0])
-                packets = int(row[3])
-            except ValueError as exc:
-                rejects.append((lineno, raw, str(exc)))
-                continue
-            if not math.isfinite(ts):
-                rejects.append((lineno, raw, "non-finite timestamp"))
-                continue
-            if not _TS_MIN <= ts < _TS_MAX:
-                rejects.append((lineno, raw, "timestamp outside the years 1-9999"))
-                continue
-            if packets < 0:
-                rejects.append((lineno, raw, f"negative packets {packets}"))
-                continue
-            if packets > _INT64_MAX:
-                rejects.append((lineno, raw, f"packets {packets} above 2**63 - 1"))
-                continue
-            times.append(ts)
-            aps.append(ap_index.setdefault(row[1].strip(), len(ap_index)))
-            users.append(user_index.setdefault(row[2].strip(), len(user_index)))
-            packet_counts.append(packets)
-    except (OSError, EOFError, UnicodeDecodeError, csv.Error) as exc:
-        raise TraceInputError(
-            f"cannot read poll records from {path} after line {reader.line_num}: {exc}"
-        ) from exc
+        for lines, text, data in blocks:
+            plain, quoted = _line_kinds(data, len(lines))
+            plain[0] &= record > 0   # a header would fail its block's conversion
+            plain = plain[:quoted]
+            for i in np.flatnonzero(~plain).tolist():
+                try:
+                    row = next(csv.reader(lines[i:i + 1]))
+                except csv.Error as exc:
+                    raise TraceInputError(f"cannot read poll records from {path} after "
+                                          f"line {record + i + 1}: {exc}") from exc
+                one_row(record + i + 1, row)
+            if quoted < len(lines) or not plain.all():
+                text = "".join(compress(lines, plain.tolist()))
+            if plain.any():
+                plain_rows(text if text.endswith("\n") else text + "\n",
+                           np.flatnonzero(plain) + record + 1)
+            record += quoted
+            if quoted < len(lines):
+                # a quoted field may span lines: csv reads the rest of the file
+                reader = csv.reader(chain(lines[quoted:], chain.from_iterable(
+                    block[0] for block in blocks)))
+                try:
+                    for number, row in enumerate(reader, start=record + 1):
+                        one_row(number, row)
+                except csv.Error as exc:
+                    raise TraceInputError(f"cannot read poll records from {path} after "
+                                          f"line {record + reader.line_num}: {exc}") from exc
     finally:
         if close:
             fh.close()
-    return PollTable.from_codes(times, aps, ap_index, users, user_index, packet_counts), rejects
+    columns.append(tuple(np.array(c, dtype=d) for c, d in
+                         zip(rows, (np.int64, float, np.intp, np.intp, np.int64))))
+    record_no, t, ap, user, packets = (np.concatenate(c) for c in zip(*columns))
+    if rows[0]:
+        order = np.argsort(record_no)   # back in file order
+        t, ap, user, packets = t[order], ap[order], user[order], packets[order]
+    return (PollTable.from_codes(t, ap, ap_index, user, user_index, packets),
+            sorted(rejects))
 
 
 def infer_cadence(table: PollTable) -> float:
     """Modal positive gap between consecutive distinct poll timestamps."""
-    gaps, counts = np.unique(np.diff(np.unique(table.t)), return_counts=True)
+    gaps, counts = np.unique(np.diff(_distinct(table.t)), return_counts=True)
     if not len(gaps):
         raise TraceInputError("cannot infer poll cadence from fewer than 2 distinct "
                               "timestamps; give the cadence explicitly")
@@ -287,7 +373,7 @@ def filter_window(table: PollTable, cfg: PreprocessConfig) -> PollTable:
     keep = (np.isin((day + 3) % 7, cfg.weekdays)
             & (cfg.work_start <= second) & (second < cfg.work_end))
     if cfg.excluded_date_ranges:
-        excluded = [d for d in np.unique(day[keep]).tolist() if _excluded(cfg, _iso(d))]
+        excluded = [d for d in _distinct(day[keep]).tolist() if _excluded(cfg, _iso(d))]
         keep &= ~np.isin(day, excluded)
     return table.take(keep)
 
@@ -505,14 +591,14 @@ def classify_open_closed(table: PollTable, cfg: PreprocessConfig, cadence: float
                          ) -> tuple[set[str], set[str], float]:
     """Split users into open and closed; a user attached at least the
     configured number of hours on any single day is closed."""
-    present = np.unique(table.user)
+    present = _distinct(table.user)
     if not len(present):
         return set(), set(), 0.0
     day, _ = _utc_days(table.t)
     pair_user, _, _, polls = _day_pairs(table.user, day)
     # attachment time as the running sum of one cadence per poll
     attached = np.cumsum(np.full(polls.max(), cadence))[polls - 1]
-    closed_codes = np.unique(pair_user[attached >= cfg.closed_user_hours * 3600.0 - 1e-9])
+    closed_codes = _distinct(pair_user[attached >= cfg.closed_user_hours * 3600.0 - 1e-9])
     closed = {table.users[u] for u in closed_codes.tolist()}
     open_users = {table.users[u] for u in present.tolist()} - closed
     return open_users, closed, len(closed) / len(present)
@@ -524,7 +610,7 @@ def _select_users(table: PollTable, users) -> PollTable:
 
 
 def extract_sessions(table: PollTable, cfg: PreprocessConfig, cadence: float,
-                     users=None) -> tuple[list[SessionRecord], Counter]:
+                     users=None) -> tuple[StageTable, Counter]:
     """Turn preprocessed records into sessions and the stage-count table.
 
     Contiguous same-AP attachment runs become stages; a stage interval
@@ -538,7 +624,8 @@ def extract_sessions(table: PollTable, cfg: PreprocessConfig, cadence: float,
     t, ap, user = table.t, table.ap, table.user
     n = len(t)
     if not n:
-        return [], Counter()
+        empty = np.zeros(0, dtype=np.intp)
+        return StageTable(empty, empty, t, t, empty, table.aps, table.users), Counter()
     gap = t[1:] - t[:-1]
     session_break = np.r_[True, (user[1:] != user[:-1]) | (gap >= cfg.departure_threshold)]
     start = np.flatnonzero(session_break | np.r_[False, (ap[1:] != ap[:-1])
@@ -562,15 +649,13 @@ def extract_sessions(table: PollTable, cfg: PreprocessConfig, cadence: float,
     stage_entry, stage_exit = entry[stage_first], exit_[stage_last]
     kept = stage_exit > stage_entry
     stage_first = stage_first[kept]
-    stage_session = np.cumsum(session_break[start])[stage_first] - 1
-    stages = list(zip([table.aps[a] for a in run_ap[stage_first].tolist()],
-                      stage_entry[kept].tolist(), stage_exit[kept].tolist()))
-    session_ids, first_stage, sizes = np.unique(stage_session, return_index=True,
-                                                return_counts=True)
-    session_user = user[start[stage_first[first_stage]]].tolist()
-    sessions = [SessionRecord(table.users[u], tuple(stages[i:i + k]))
-                for u, i, k in zip(session_user, first_stage.tolist(), sizes.tolist())]
-    return sessions, Counter(sizes.tolist())
+    # numbered again, skipping the sessions whose stages all vanished
+    _, first, session, sizes = np.unique(np.cumsum(session_break[start])[stage_first],
+                                         return_index=True, return_inverse=True,
+                                         return_counts=True)
+    return (StageTable(session, run_ap[stage_first], stage_entry[kept], stage_exit[kept],
+                       user[start[stage_first[first]]], table.aps, table.users),
+            Counter(sizes.tolist()))
 
 
 def stage_table_rows(table: Counter, cap: int = 5) -> list[tuple[str, int]]:
@@ -605,69 +690,68 @@ class APValidity:
 def observed_days(table: PollTable) -> dict[str, set[str]]:
     """Per AP, the set of ISO days with at least one (surviving) record."""
     pair_ap, pair_day, _, _ = _day_pairs(table.ap, _utc_days(table.t)[0])
-    iso = {d: _iso(d) for d in np.unique(pair_day).tolist()}
+    iso = {d: _iso(d) for d in _distinct(pair_day).tolist()}
     days: dict[str, set[str]] = {}
     for ap, day in zip(pair_ap.tolist(), pair_day.tolist()):
         days.setdefault(table.aps[ap], set()).add(iso[day])
     return days
 
 
-def arrival_series(sessions, cfg: PreprocessConfig, ap_days: dict[str, set[str]],
-                   interval: float = 3600.0) -> dict[str, list[int]]:
+def arrival_series(sessions: StageTable, cfg: PreprocessConfig,
+                   ap_days: dict[str, set[str]], interval: float = 3600.0
+                   ) -> dict[str, list[int]]:
     """Per AP, new-session (first stage) arrival counts per interval bucket
     over that AP's observed working time, in day-then-bucket order."""
     buckets_per_day = int((cfg.work_end - cfg.work_start) // interval)
     counts = {ap: {d: [0] * buckets_per_day for d in days} for ap, days in ap_days.items()}
-    if sessions:
-        aps = [s.stages[0][0] for s in sessions]
-        entries = np.array([s.stages[0][1] for s in sessions])
-        day, _ = _utc_days(entries)
-        bucket = (entries - (day * 86400.0 + cfg.work_start)) // interval
-        iso = {d: _iso(d) for d in np.unique(day).tolist()}
-        for ap, d, b in zip(aps, day.tolist(), bucket.tolist()):
-            per_day = counts.get(ap, {}).get(iso[d])
-            if per_day is not None and 0 <= b < buckets_per_day:
-                per_day[int(b)] += 1
+    first = sessions.first_stages()
+    entry = sessions.entry[first]
+    day, _ = _utc_days(entry)
+    bucket = (entry - (day * 86400.0 + cfg.work_start)) // interval
+    inside = (0 <= bucket) & (bucket < buckets_per_day)
+    keys, arrivals = np.unique(np.stack([sessions.ap[first][inside], day[inside],
+                                         bucket[inside].astype(np.int64)], axis=1),
+                               axis=0, return_counts=True)
+    for (ap, d, b), n in zip(keys.tolist(), arrivals.tolist()):
+        per_day = counts.get(sessions.aps[ap], {}).get(_iso(d))
+        if per_day is not None:
+            per_day[b] = n
     return {ap: [c for d in sorted(days) for c in days[d]] for ap, days in counts.items()}
 
 
-def estimate_cell_params(sessions, cfg: PreprocessConfig,
+def estimate_cell_params(sessions: StageTable, cfg: PreprocessConfig,
                          ap_days: dict[str, set[str]],
                          interval: float = 3600.0
                          ) -> tuple[dict[str, CellEstimate], dict[str, list[int]]]:
     """Per-AP arrival rate, mean holding time and Poisson mean, plus the
-    new-arrival series feeding the Poisson tests."""
-    if not sessions:
+    new-arrival series feeding the Poisson tests. Holds are summed in stage
+    order, as a loop over the sessions would sum them."""
+    if not len(sessions):
         raise ValueError("need at least one session")
     window = cfg.work_end - cfg.work_start
-    entries: Counter = Counter()
-    hold_sum: Counter = Counter()
-    new: Counter = Counter()
-    for s in sessions:
-        for i, (ap, e, x) in enumerate(s.stages):
-            entries[ap] += 1
-            hold_sum[ap] += x - e
-            if i == 0:
-                new[ap] += 1
+    n_aps = len(sessions.aps)
+    entries = np.bincount(sessions.ap, minlength=n_aps).tolist()
+    hold_sum = np.bincount(sessions.ap, weights=sessions.exit - sessions.entry,
+                           minlength=n_aps).tolist()
+    new = np.bincount(sessions.ap[sessions.first_stages()], minlength=n_aps).tolist()
     series = arrival_series(sessions, cfg, ap_days, interval)
     out = {}
-    for ap in sorted(entries):
+    for code, ap in enumerate(sessions.aps):
+        if not entries[code]:
+            continue
         observed = len(ap_days.get(ap, ())) * window
         if observed <= 0:
             raise ValueError(f"AP {ap!r} has stage entries but zero observed time")
-        rate = entries[ap] / observed
-        hold = hold_sum[ap] / entries[ap]
-        out[ap] = CellEstimate(ap, rate, hold, rate * hold, entries[ap],
-                               new[ap], observed)
+        rate = entries[code] / observed
+        hold = hold_sum[code] / entries[code]
+        out[ap] = CellEstimate(ap, rate, hold, rate * hold, entries[code],
+                               new[code], observed)
     return out, series
 
 
 def test_ap_validity(series: dict[str, list[int]], interval: float = 3600.0,
                      eta_threshold: float = 0.15, theta_threshold: float = 0.15
                      ) -> dict[str, APValidity]:
-    # loaded here, so that fixture, which needs only PollTable, skips stats
-    from .stats import independence_test, poisson_dist_test
-
     return {
         ap: APValidity(ap,
                        independence_test(counts, interval, eta_threshold),
@@ -676,9 +760,8 @@ def test_ap_validity(series: dict[str, list[int]], interval: float = 3600.0,
     }
 
 
-def exclusion_modes(sessions, invalid_aps: set[str], mode: int,
-                    exclude_one_stage: bool = False
-                    ) -> tuple[list[SessionRecord], set[str]]:
+def exclusion_modes(sessions: StageTable, invalid_aps: set[str], mode: int,
+                    exclude_one_stage: bool = False) -> tuple[StageTable, set[str]]:
     """Apply one of the non-Poisson exclusion policies.
 
     Mode 1 removes whole sessions that start at an invalid AP; mode 2 keeps
@@ -689,29 +772,34 @@ def exclusion_modes(sessions, invalid_aps: set[str], mode: int,
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"unknown exclusion mode {mode}")
-    out = list(sessions)
+    keep = np.ones(len(sessions), dtype=bool)
     excluded: set[str] = set()
     if mode == 1:
-        out = [s for s in out if s.stages[0][0] not in invalid_aps]
+        invalid = np.array([ap in invalid_aps for ap in sessions.aps], dtype=bool)
+        keep &= ~invalid[sessions.ap[sessions.first_stages()]]
     elif mode == 2:
         excluded = set(invalid_aps)
     if exclude_one_stage:
-        out = [s for s in out if s.stage_count > 1]
-    return out, excluded
+        keep &= np.bincount(sessions.session, minlength=len(sessions)) > 1
+    return (sessions if keep.all() else sessions.take(keep)), excluded
 
 
-def occupancy_snapshots(sessions, aps: list[str], epochs) -> np.ndarray:
+def occupancy_snapshots(sessions: StageTable, aps: list[str], epochs) -> np.ndarray:
     """Re-sample attachment state: per epoch, users attached per AP.
 
     A user counts toward an AP at time t when some stage has
     entry <= t < exit. Returns a ``(T, A)`` int64 matrix: one row per epoch
     in time order, one column per AP in the order given.
     """
-    ap_index = {ap: i for i, ap in enumerate(aps)}
-    stages = [(ap_index[ap], e, x) for s in sessions for ap, e, x in s.stages
-              if ap in ap_index]
-    idx, entry, exit_ = (np.array(c) for c in zip(*stages)) if stages else (np.zeros(0),) * 3
-    return interval_counts(idx, entry, exit_, len(aps), np.sort(np.asarray(epochs, dtype=float)))
+    code = {ap: i for i, ap in enumerate(sessions.aps)}
+    column = np.full(len(sessions.aps), -1)
+    for j, ap in enumerate(aps):
+        if ap in code:
+            column[code[ap]] = j
+    col = column[sessions.ap]
+    kept = col >= 0
+    return interval_counts(col[kept], sessions.entry[kept], sessions.exit[kept], len(aps),
+                           np.sort(np.asarray(epochs, dtype=float)))
 
 
 @dataclass
@@ -723,7 +811,7 @@ class TraceResult:
     open_users: set[str]
     closed_users: set[str]
     closed_fraction: float
-    sessions: list[SessionRecord]
+    sessions: StageTable
     stage_table: Counter
     estimates: dict[str, CellEstimate]
     arrival_series: dict[str, list[int]]
@@ -733,6 +821,9 @@ class TraceResult:
     #: rows in and out of each step, plus what multi-association and the
     #: padding added, merged or moved
     counts: dict = field(default_factory=dict)
+    #: distinct times of the polls left by filter_window and
+    #: filter_invalid_days: the observed epochs to sample occupancy at
+    epochs: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def valid_aps(self) -> set[str]:
@@ -774,9 +865,14 @@ def run_pipeline(polls: PollTable, cfg: PreprocessConfig, rejects=None,
     """
     cadence = cfg.poll_cadence if cfg.poll_cadence is not None else infer_cadence(polls)
     counts: dict = {}
+    start = time.perf_counter()
 
     def step(name, rows_in, rows_out, **extra):
-        counts[name] = {"rows_in": rows_in, "rows_out": rows_out, **extra}
+        # a step's wall time runs from the end of the one before
+        nonlocal start
+        now = time.perf_counter()
+        counts[name] = {"rows_in": rows_in, "rows_out": rows_out, **extra, "wall_s": now - start}
+        start = now
 
     window = filter_window(polls, cfg)
     step("filter_window", len(polls), len(window))
@@ -793,25 +889,34 @@ def run_pipeline(polls: PollTable, cfg: PreprocessConfig, rejects=None,
     step("classify_open_closed", len(padded), len(open_rows),
          open_users=len(open_users), closed_users=len(closed_users))
     sessions, stage_table = extract_sessions(open_rows, cfg, cadence)
-    step("extract_sessions", len(open_rows), len(sessions),
-         stages=sum(s.stage_count for s in sessions))
-    if not sessions:
+    step("extract_sessions", len(open_rows), len(sessions), stages=len(sessions.ap))
+    if not len(sessions):
         raise TraceInputError(_no_sessions(counts, cfg))
     ap_days = observed_days(padded)
     estimates, series = estimate_cell_params(sessions, cfg, ap_days, interval)
     validity = test_ap_validity(series, interval, eta_threshold, theta_threshold)
     return TraceResult(cadence, len(polls), rejects or [], removed, open_users,
                        closed_users, frac, sessions, stage_table, estimates, series,
-                       validity, ap_days, counts=counts)
+                       validity, ap_days, counts=counts, epochs=_distinct(valid.t))
 
 
-def write_sessions_csv(sessions, path) -> None:
+def _csv_fields(names) -> list[str]:
+    """Each name as ``csv.writer`` writes it inside a row."""
+    # writerow returns what the file's write returns, and str(row) is row
+    row = csv.writer(SimpleNamespace(write=str)).writerow
+    return [row((name, ""))[:-3] for name in names]   # less ",\r\n"
+
+
+def write_sessions_csv(sessions: StageTable, path) -> None:
+    """``user,stage,ap,entry,exit`` rows, stages numbered from 1, as
+    ``csv.writer`` writes them; each name is formatted once."""
+    user = np.array(_csv_fields(sessions.users), dtype=object)[sessions.user[sessions.session]]
+    ap = np.array(_csv_fields(sessions.aps), dtype=object)[sessions.ap]
+    stage = np.arange(len(sessions.ap)) - sessions.first_stages()[sessions.session] + 1
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user", "stage", "ap", "entry", "exit"])
-        for s in sessions:
-            for j, (ap, e, x) in enumerate(s.stages, start=1):
-                w.writerow([s.user, j, ap, repr(e), repr(x)])
+        fh.write("user,stage,ap,entry,exit\r\n")
+        fh.write("".join(map("{},{},{},{!r},{!r}\r\n".format, user.tolist(), stage.tolist(),
+                             ap.tolist(), sessions.entry.tolist(), sessions.exit.tolist())))
 
 
 def write_estimates_csv(estimates: dict[str, CellEstimate], path) -> None:

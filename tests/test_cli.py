@@ -446,6 +446,38 @@ class TestFixtureAndTrace:
         assert run["classify_open_closed"]["closed_users"] == report["closed_users"] == 1
         assert run["resolve_multi_association"]["multi_association_merged"] == 0
         assert "run.json" not in report
+        assert all(entry["wall_s"] >= 0.0 for entry in run.values())
+
+    def test_trace_occupancy_ignores_polls_outside_the_window(self, tmp_path):
+        # one device polled overnight: filter_window drops every row, and
+        # occupancy is sampled at the observed epochs only
+        cfg = write_config(tmp_path, self._fixture_spec())
+        fix_out = tmp_path / "fix"
+        cli.main(["fixture", "--config", cfg, "--out", str(fix_out),
+                  "--seed", "3", "--days", "2"])
+        polls = (fix_out / "polls.csv").read_text()
+        day0 = float(polls.splitlines()[1].split(",")[0]) // 86400 * 86400
+        night = tmp_path / "night.csv"
+        night.write_text(polls + "".join(
+            f"{day0 + 18 * 3600 + 300 * i!r},AP001,night,3\n" for i in range(180)))
+        outs = []
+        for name, path in (("day", fix_out / "polls.csv"), ("night", night)):
+            outs.append(tmp_path / name)
+            assert cli.main(["trace", "--polls", str(path), "--out", str(outs[-1]),
+                             "--cadence", "300"]) == 0
+        run = json.loads((outs[1] / "run.json").read_text())
+        assert run["filter_window"]["rows_in"] - run["filter_window"]["rows_out"] == 180
+        for name in ("marginal_comparison.csv", "sessions.csv", "ap_params.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_trace_undecodable_byte_exit_1(self, tmp_path, capsys):
+        polls = tmp_path / "polls.csv"
+        polls.write_bytes(b"timestamp,ap,user,packets\n"
+                          + b"".join(b"%d,AP1,u1,5\n" % (1073293200 + 300 * i) for i in range(3))
+                          + b"1073294100,AP\xff,u1,5\n")
+        rc = cli.main(["trace", "--polls", str(polls), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "line 5 holds byte 0xff, which is not UTF-8" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +588,7 @@ class TestImportGraph:
         ("analyze", {"analytic"}),
         ("simulate", {"analytic", "sim"}),
         ("compare", {"analytic", "stats"}),
-        ("fixture", {"sim", "trace"}),
+        ("fixture", {"polls", "sim"}),
     ])
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, subcommand, loaded):
         cfg = write_config(tmp_path, single_cell_spec(rate=0.01, hold=300.0))

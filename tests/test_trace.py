@@ -1,8 +1,10 @@
+import gzip
 import io
 import math
 import time
 from collections import Counter
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,7 +50,6 @@ class TestParsePolls:
         assert len(records) == 1 and len(rejects) == 1
 
     def test_gzip_round_trip(self, tmp_path):
-        import gzip
         path = tmp_path / "polls.csv.gz"
         with gzip.open(path, "wt") as fh:
             fh.write("timestamp,ap,user,packets\n100.0,AP1,u1,5\n")
@@ -71,6 +72,133 @@ class TestParsePolls:
         assert len(records) == 1
         assert [(line, "outside" in why or "above" in why) for line, _, why in rejects] == [
             (1, True), (2, True)]
+
+    @pytest.mark.parametrize("suffix", [".csv", ".csv.gz"])
+    def test_byte_order_mark_header_is_skipped(self, tmp_path, suffix):
+        path = tmp_path / f"polls{suffix}"
+        data = "\ufefftimestamp,ap,user,packets\n100.0,AP1,u1,5\n".encode("utf-8")
+        path.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+        records, rejects = trace.parse_polls(path)
+        assert rejects == [] and [r.ap for r in records] == ["AP1"]
+
+    @pytest.mark.parametrize("lines", [5, 9000])   # 9,000 lines span several blocks
+    def test_undecodable_byte_names_its_line(self, tmp_path, lines):
+        path = tmp_path / "polls.csv"
+        rows = [b"timestamp,ap,user,packets"] + [b"%d,AP1,u1,5" % (100 + i)
+                                                 for i in range(lines - 1)]
+        rows[-1] = b"100,AP\xff1,u1,5"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(trace.TraceInputError, match=f"line {lines} holds byte 0xff"):
+            trace.parse_polls(path)
+
+    def test_records_are_numbered_as_csv_rows(self):
+        # a quoted field spanning two lines is one record, so the record
+        # number of a later reject runs one behind its line number
+        text = 'timestamp,ap,user,packets\n100,"AP\n1",u1,5\nbad\n200,AP2,u2,1\n'
+        records, rejects = trace.parse_polls(io.StringIO(text))
+        assert [r.ap for r in records] == ["AP\n1", "AP2"]
+        assert rejects == [(3, "bad", "expected 4 fields, got 1")]
+
+
+#: Field texts of generated poll files: each one parses, fails a
+#: conversion, or fails a range check, one at a time or in bulk.
+TIMES = ["1073293200", "1073293500.25", " 1073293800 ", "1_073_294_100", "1.0737e9",
+         "\u0661\u0660\u0667\u0663\u0662\u0669\u0663\u0662\u0660\u0660", "-62135596800",
+         "nan", "inf", "-inf", "1e12", "-62135596801", "abc", "", "1073293200 x"]
+PACKETS = ["0", "5", " 7 ", "1_0", str(2 ** 63 - 1), str(2 ** 63), "-3", str(-2 ** 63 - 1),
+           "1.5", "x", ""]
+NAMES = ["AP1", " AP2 ", "u1", "u 2", "\u00fc", "AP,3", 'q"x', "a\nb", "", "\u03a9"]
+
+
+def _csv_field(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+@st.composite
+def poll_texts(draw):
+    """Poll files as text: an optional header, rows with good and bad
+    fields, names that need quotes (one spans two lines), blank lines,
+    wrong field counts and, rarely, a carriage return inside a field;
+    LF or CRLF line ends."""
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["timestamp,ap,user,packets", " Timestamp ,x",
+                                           "timestamp"])))
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "short", "long", "quoted", "cr"]))
+        row = [draw(st.sampled_from(TIMES)), _csv_field(draw(st.sampled_from(NAMES))),
+               _csv_field(draw(st.sampled_from(NAMES))), draw(st.sampled_from(PACKETS))]
+        if kind == "blank":
+            row = []
+        elif kind == "short":
+            row = row[:3]
+        elif kind == "long":
+            row.append("9")
+        elif kind == "quoted":
+            row[0] = f'"{row[0]}"'
+        elif kind == "cr" and draw(st.integers(0, 4)) == 0:
+            row[1] += "\rX"
+        lines.append(",".join(row))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def assert_parses_as_reference(source, reference_source):
+    try:
+        expected, expected_rejects = ref.parse_polls(reference_source)
+    except trace.TraceInputError as exc:
+        with pytest.raises(trace.TraceInputError) as got:
+            trace.parse_polls(source)
+        assert str(got.value) == str(exc)
+        return
+    table, rejects = trace.parse_polls(source)
+    assert rejects == expected_rejects
+    assert (table.aps, table.users) == (expected.aps, expected.users)
+    assert table.t.tobytes() == expected.t.tobytes()
+    for got, want in ((table.ap, expected.ap), (table.user, expected.user),
+                      (table.packets, expected.packets)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestParserAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(poll_texts(), st.sampled_from(["stream", "file", "gzip"]),
+           st.sampled_from([1, 16, 64, trace._BLOCK]))
+    def test_equals_row_reader(self, tmp_path_factory, text, source, block):
+        if source == "stream":
+            sources = io.StringIO(text), io.StringIO(text)
+        else:
+            path = tmp_path_factory.mktemp("polls") / ("polls.csv.gz" if source == "gzip"
+                                                       else "polls.csv")
+            data = text.encode("utf-8")
+            path.write_bytes(gzip.compress(data) if source == "gzip" else data)
+            sources = path, (gzip.open if source == "gzip" else open)(path, "rt",
+                                                                      encoding="utf-8")
+        with mock.patch.object(trace, "_BLOCK", block):
+            assert_parses_as_reference(*sources)
+        if source != "stream":
+            sources[1].close()
+
+    def test_long_file_equals_row_reader(self):
+        # 15,000 records in blocks of 64 KiB: quoted records spanning two
+        # lines, two of them across block ends, short rows, and packets
+        # beyond int64 in one block
+        lines = ["timestamp,ap,user,packets\n"]
+        for i in range(15000):
+            t = 1073293200 + i
+            if i % 4 == 1:
+                lines += [f'{t},"AP\n', f'{i % 5}",u{i % 13},1\n']
+            elif i % 11 == 4:
+                lines.append(f"{t},AP{i % 5}\n")
+            else:
+                lines.append(f"{t},AP{i % 5},u{i % 13},{2 ** 63 if i == 5000 else i % 9}\n")
+        text = "".join(lines)
+        fh = io.StringIO(text)
+        block_ends = [block[-1] for block in iter(lambda: fh.readlines(trace._BLOCK), [])]
+        assert len(block_ends) == 5 and sum(end.count('"') % 2 for end in block_ends) == 2
+        assert_parses_as_reference(io.StringIO(text), io.StringIO(text))
 
 
 class TestFilterWindow:
@@ -273,6 +401,7 @@ class TestEstimateCellParams:
         for i in range(96):
             e = MON9 + (i % 12) * 600.0
             sessions.append(trace.SessionRecord(f"u{i}", (("AP1", e, e + 1800.0),)))
+        sessions = trace.StageTable.from_sessions(sessions)
         ap_days = {"AP1": {"2004-01-05", "2004-01-06", "2004-01-07",
                            "2004-01-08", "2004-01-09", "2004-01-12"}}
         est, _series = trace.estimate_cell_params(sessions, CFG, ap_days)
@@ -285,14 +414,14 @@ class TestEstimateCellParams:
 
     def test_no_sessions_error(self):
         with pytest.raises(ValueError):
-            trace.estimate_cell_params([], CFG, {})
+            trace.estimate_cell_params(trace.StageTable.from_sessions([]), CFG, {})
 
     def test_arrival_series_counts_first_stages(self):
-        sessions = [
+        sessions = trace.StageTable.from_sessions([
             trace.SessionRecord("u1", (("AP1", MON9 + 10, MON9 + 700),
                                        ("AP2", MON9 + 700, MON9 + 1400))),
             trace.SessionRecord("u2", (("AP1", MON9 + 4000, MON9 + 5000),)),
-        ]
+        ])
         ap_days = {"AP1": {"2004-01-05"}, "AP2": {"2004-01-05"}}
         series = trace.arrival_series(sessions, CFG, ap_days)
         assert series["AP1"] == [1, 1, 0, 0, 0, 0, 0, 0]
@@ -301,16 +430,16 @@ class TestEstimateCellParams:
 
 class TestExclusionModes:
     def _sessions(self):
-        return [
+        return trace.StageTable.from_sessions([
             trace.SessionRecord("u1", (("BAD", MON9, MON9 + 600), ("AP1", MON9 + 600, MON9 + 1200))),
             trace.SessionRecord("u2", (("AP1", MON9, MON9 + 600), ("BAD", MON9 + 600, MON9 + 1200))),
             trace.SessionRecord("u3", (("AP1", MON9, MON9 + 600),)),
-        ]
+        ])
 
     def test_mode3_identity(self):
         sessions = self._sessions()
         out, excluded = trace.exclusion_modes(sessions, {"BAD"}, 3)
-        assert out == sessions and excluded == set()
+        assert list(out) == list(sessions) and excluded == set()
 
     def test_mode1_drops_sessions_starting_at_invalid(self):
         out, excluded = trace.exclusion_modes(self._sessions(), {"BAD"}, 1)
@@ -319,7 +448,7 @@ class TestExclusionModes:
     def test_mode2_marks_aps_keeps_sessions(self):
         sessions = self._sessions()
         out, excluded = trace.exclusion_modes(sessions, {"BAD"}, 2)
-        assert out == sessions and excluded == {"BAD"}
+        assert list(out) == list(sessions) and excluded == {"BAD"}
 
     def test_one_stage_toggle(self):
         out, _ = trace.exclusion_modes(self._sessions(), set(), 3, exclude_one_stage=True)
@@ -327,18 +456,47 @@ class TestExclusionModes:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            trace.exclusion_modes([], set(), 0)
+            trace.exclusion_modes(trace.StageTable.from_sessions([]), set(), 0)
 
 
 class TestOccupancySnapshots:
     def test_counts_at_epochs(self):
-        sessions = [
+        sessions = trace.StageTable.from_sessions([
             trace.SessionRecord("u1", (("AP1", 0.0, 600.0),)),
             trace.SessionRecord("u2", (("AP1", 300.0, 900.0), ("AP2", 900.0, 1200.0))),
-        ]
+        ])
         snaps = trace.occupancy_snapshots(sessions, ["AP1", "AP2"], [0.0, 300.0, 600.0, 900.0])
         assert snaps.dtype == np.int64
         assert snaps.tolist() == [[1, 0], [2, 0], [1, 0], [0, 1]]
+
+
+@st.composite
+def session_lists(draw):
+    """Sessions of one to three stages whose user and AP names may need
+    quotes in a CSV file."""
+    names = st.sampled_from(NAMES + ["AP\r1", "x y,z", '""'])
+    times = st.floats(-1e10, 1e10, allow_subnormal=False)
+    return [trace.SessionRecord(draw(names), tuple(
+        (draw(names), draw(times), draw(times)) for _ in range(draw(st.integers(1, 3)))))
+        for _ in range(draw(st.integers(0, 6)))]
+
+
+class TestStageTable:
+    @settings(max_examples=100, deadline=None)
+    @given(session_lists())
+    def test_rows_and_sessions_csv_equal_reference(self, tmp_path_factory, records):
+        table = trace.StageTable.from_sessions(records)
+        assert list(table) == records and len(table) == len(records)
+        out = tmp_path_factory.mktemp("sessions")
+        trace.write_sessions_csv(table, out / "got.csv")
+        ref.write_sessions_csv(records, out / "want.csv")
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    def test_take_numbers_sessions_again(self):
+        records = [trace.SessionRecord(f"u{i}", (("AP1", i, i + 1.0),) * (i % 2 + 1))
+                   for i in range(4)]
+        kept = trace.StageTable.from_sessions(records).take(np.array([False, True, False, True]))
+        assert kept.session.tolist() == [0, 0, 1, 1] and list(kept) == records[1::2]
 
 
 def demo_spec():
@@ -469,7 +627,9 @@ def assert_steps_match(records, cfg, cadence):
     assert_same_rows(trace.pad_gaps(poll_table(resolved), cfg, cadence), padded)
     classes = ref.classify_open_closed(padded, cfg, cadence)
     assert trace.classify_open_closed(poll_table(padded), cfg, cadence) == classes
-    assert (trace.extract_sessions(poll_table(padded), cfg, cadence, users=classes[0])
+    sessions, stage_table = trace.extract_sessions(poll_table(padded), cfg, cadence,
+                                                   users=classes[0])
+    assert ((list(sessions), stage_table)
             == ref.extract_sessions(padded, cfg, cadence, users=classes[0]))
     assert trace.observed_days(poll_table(padded)) == ref.observed_days(padded)
 
@@ -486,7 +646,7 @@ def assert_pipelines_match(records, cfg):
     assert got.removed_days == expected.removed_days
     assert (got.open_users, got.closed_users, got.closed_fraction) == \
         (expected.open_users, expected.closed_users, expected.closed_fraction)
-    assert got.sessions == expected.sessions
+    assert list(got.sessions) == expected.sessions
     assert got.stage_table == expected.stage_table
     assert got.estimates == expected.estimates
     assert got.arrival_series == expected.arrival_series
@@ -526,7 +686,7 @@ class TestAgainstReference:
         epochs = sorted({r.timestamp for r in records})
         aps = ["AP001", "AP003"]
         assert ([tuple(row) for row in trace.occupancy_snapshots(sessions, aps, epochs).tolist()]
-                == ref.occupancy_snapshots(sessions, aps, epochs))
+                == ref.occupancy_snapshots(list(sessions), aps, epochs))
 
 
 @st.composite

@@ -1,20 +1,90 @@
 """Reference implementation of the trace pipeline, kept for the tests.
 
-This is the row-at-a-time form of ``multicell.trace``: ``PollRecord``
-lists, per-user dicts of lists, one ``datetime`` per record, and the
-ping-pong fold that restarts its scan after every join (quadratic in the
-number of runs, which makes it a brute-force oracle). The columnar steps in
-``multicell.trace`` must give the same records, sessions, stage table,
-estimates and removed days.
+This is the row-at-a-time form of ``multicell.trace``: a ``csv.reader``
+poll parser, ``PollRecord`` lists, per-user dicts of lists, one
+``datetime`` per record, ``SessionRecord`` lists, a ``csv.writer`` session
+writer, and the ping-pong fold that restarts its scan after every join
+(quadratic in the number of runs, which makes it a brute-force oracle).
+The columnar steps in ``multicell.trace`` must give the same records,
+rejects, sessions, stage table, estimates, removed days and session rows.
 """
 
 from __future__ import annotations
 
+import csv
+import gzip
+import math
 from collections import Counter, defaultdict
 from datetime import datetime, timezone
 
-from multicell.trace import (CellEstimate, PollRecord, PreprocessConfig, SessionRecord,
-                             TraceResult, test_ap_validity)
+from multicell.trace import (CellEstimate, PollRecord, PollTable, PreprocessConfig,
+                             SessionRecord, TraceInputError, TraceResult, test_ap_validity)
+
+_TS_MIN, _TS_MAX = -62135596800.0, 253402300800.0
+_INT64_MAX = 2 ** 63 - 1
+
+
+def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
+    """Read poll records from a path or file object, one ``csv`` row at a
+    time; rejects are (record number, raw line, reason)."""
+    close = False
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        path = str(source)
+        fh = gzip.open(path, "rt") if path.endswith(".gz") else open(path)
+        close = True
+    else:
+        path, fh = getattr(source, "name", "<stream>"), source
+    times, aps, users, packet_counts, rejects = [], [], [], [], []
+    ap_index: dict[str, int] = {}
+    user_index: dict[str, int] = {}
+    reader = csv.reader(fh)
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if not row or (lineno == 1 and row[0].strip().lower() == "timestamp"):
+                continue
+            raw = ",".join(row)
+            if len(row) != 4:
+                rejects.append((lineno, raw, f"expected 4 fields, got {len(row)}"))
+                continue
+            try:
+                ts = float(row[0])
+                packets = int(row[3])
+            except ValueError as exc:
+                rejects.append((lineno, raw, str(exc)))
+                continue
+            if not math.isfinite(ts):
+                rejects.append((lineno, raw, "non-finite timestamp"))
+                continue
+            if not _TS_MIN <= ts < _TS_MAX:
+                rejects.append((lineno, raw, "timestamp outside the years 1-9999"))
+                continue
+            if packets < 0:
+                rejects.append((lineno, raw, f"negative packets {packets}"))
+                continue
+            if packets > _INT64_MAX:
+                rejects.append((lineno, raw, f"packets {packets} above 2**63 - 1"))
+                continue
+            times.append(ts)
+            aps.append(ap_index.setdefault(row[1].strip(), len(ap_index)))
+            users.append(user_index.setdefault(row[2].strip(), len(user_index)))
+            packet_counts.append(packets)
+    except (OSError, EOFError, UnicodeDecodeError, csv.Error) as exc:
+        raise TraceInputError(
+            f"cannot read poll records from {path} after line {reader.line_num}: {exc}"
+        ) from exc
+    finally:
+        if close:
+            fh.close()
+    return PollTable.from_codes(times, aps, ap_index, users, user_index, packet_counts), rejects
+
+
+def write_sessions_csv(sessions, path) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["user", "stage", "ap", "entry", "exit"])
+        for s in sessions:
+            for j, (ap, e, x) in enumerate(s.stages, start=1):
+                w.writerow([s.user, j, ap, repr(e), repr(x)])
 
 
 def _utc(ts: float) -> datetime:
