@@ -31,10 +31,11 @@ import csv
 import gzip
 import math
 import time
-from collections import Counter
+from bisect import bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import chain, compress
+from itertools import accumulate, compress
 from types import SimpleNamespace
 
 import numpy as np
@@ -212,29 +213,30 @@ def _blocks(fh, path):
             what = f"byte {ord(bad) - 0xDC00:#04x}" if "\udc80" <= bad <= "\udcff" else repr(bad)
             raise TraceInputError(
                 f"cannot read poll records from {path}: line "
-                f"{line + text.count(chr(10), 0, exc.start) + 1} holds {what}, "
-                "which is not UTF-8") from None
+                f"{line + bisect_right(list(accumulate(map(len, lines))), exc.start) + 1} "
+                f"holds {what}, which is not UTF-8") from None
         yield lines, text, data
         line += len(lines)
 
 
-def _line_kinds(data: bytes, n: int) -> tuple[np.ndarray, int]:
-    """Per line of a block of n lines encoded as ``data``, whether it is
-    plain (three commas, no carriage return, no longer than a CSV field may
-    be); and the index of the first line holding a quote (n if none)."""
+def _plain(text: str, data: bytes, n: int) -> bool:
+    """Whether all n lines of a block are plain: three commas, no quote and
+    no carriage return, so that splitting them at commas reads them as
+    ``csv`` would. Such lines end at newlines, and no field is longer than
+    ``csv`` allows if the block is not."""
+    if '"' in text or "\r" in text or len(text) > csv.field_size_limit():
+        return False
     b = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(b == 10)
-    if len(ends) < n:
-        ends = np.r_[ends, len(b)]
-    plain = ((np.diff(np.searchsorted(np.flatnonzero(b == 44), ends), prepend=0) == 3)
-             & (np.diff(ends, prepend=-1) <= csv.field_size_limit()))
-    if b"\r" in data:
-        plain[np.searchsorted(ends, np.flatnonzero(b == 13))] = False
-    quote = data.find(b'"')
-    return plain, n if quote < 0 else int(np.searchsorted(ends, quote))
+    commas = np.flatnonzero(b == 44)
+    if len(commas) != 3 * n:
+        return False
+    # with 3n commas in all, line k has three iff its first and third are in it
+    ends, line = np.flatnonzero(b == 10), np.arange(n)
+    return bool((np.searchsorted(ends, commas[0::3]) == line).all()
+                and (np.searchsorted(ends, commas[2::3]) == line).all())
 
 
-def _codes(names: list[str], index: dict[str, int]) -> np.ndarray:
+def _codes(names, index: dict[str, int]) -> np.ndarray:
     """Codes of the stripped names in a first-sight index, extended."""
     raw = dict.fromkeys(names)
     for name in raw:
@@ -252,10 +254,11 @@ def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
     optional byte-order mark, gzip-compressed by suffix. A file that cannot
     be read as text raises ``TraceInputError`` naming the file and line.
 
-    Lines are read in blocks, and the plain lines of a block are split and
-    converted as columns. ``csv`` reads the other lines, and all lines from
-    the first quote on; ``_poll_row`` checks them and every row that fails
-    a column check, so reject reasons come from it alone.
+    Lines are read in blocks. A block of plain lines (see ``_plain``) is
+    split at its commas; ``csv`` reads every other block, and a quoted
+    record may carry it into the next. Either way the rows' fields are
+    converted as columns, and ``_poll_row`` checks the rows that fail the
+    column checks, so reject reasons come from it alone.
     """
     close = False
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -267,81 +270,79 @@ def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
         path, fh = getattr(source, "name", "<stream>"), source
     ap_index: dict[str, int] = {}
     user_index: dict[str, int] = {}
-    columns: list[tuple] = []   # per block of plain lines: record, t, ap, user, packets
-    rows: tuple[list, ...] = ([], [], [], [], [])   # the same, row by row
+    # per block: t, ap, user, packets; empty columns first give the dtypes
+    columns: list[tuple] = [(np.zeros(0), np.zeros(0, dtype=np.intp),
+                             np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))]
     rejects: list[tuple[int, str, str]] = []
 
-    def one_row(record: int, row: list[str]) -> None:
-        if not row or (record == 1 and row[0].strip().lower() == "timestamp"):
-            return
-        got = _poll_row(row)
-        if isinstance(got, str):
-            rejects.append((record, ",".join(row), got))
-            return
-        for column, value in zip(rows, (record, got[0],
-                                        ap_index.setdefault(row[1].strip(), len(ap_index)),
-                                        user_index.setdefault(row[2].strip(), len(user_index)),
-                                        got[1])):
-            column.append(value)
-
-    def plain_rows(text: str, records: np.ndarray) -> None:
+    def add_rows(fields: list[str], records) -> None:
+        # fields holds the rows' four fields in turn; records their numbers
+        if records[0] == 1 and fields[0].strip().lower() == "timestamp":
+            fields, records = fields[4:], records[1:]
         n = len(records)
-        parts = text.replace("\n", ",").split(",")
         try:
-            t = np.array(parts[0:4 * n:4], dtype=float)
-            packets = np.array(parts[3:4 * n:4], dtype=np.int64)
+            t = np.array(fields[0::4], dtype=float)
+            packets = np.array(fields[3::4], dtype=np.int64)
         except (ValueError, OverflowError):   # a bad row, or packets beyond int64
-            ok = np.zeros(n, dtype=bool)
+            t, packets, ok = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
         else:
             ok = np.isfinite(t) & (_TS_MIN <= t) & (t < _TS_MAX) & (packets >= 0)
         for i in np.flatnonzero(~ok).tolist():
-            one_row(int(records[i]), parts[4 * i:4 * i + 4])
-        if ok.any():
-            keep = ok.tolist()
-            columns.append((records[ok], t[ok],
-                            _codes(list(compress(parts[1:4 * n:4], keep)), ap_index),
-                            _codes(list(compress(parts[2:4 * n:4], keep)), user_index),
-                            packets[ok]))
+            got = _poll_row(fields[4 * i:4 * i + 4])
+            if isinstance(got, str):
+                rejects.append((records[i], ",".join(fields[4 * i:4 * i + 4]), got))
+            else:
+                t[i], packets[i], ok[i] = got[0], got[1], True
+        keep = ok.tolist()
+        columns.append((t[ok], _codes(list(compress(fields[1::4], keep)), ap_index),
+                        _codes(list(compress(fields[2::4], keep)), user_index), packets[ok]))
 
-    record = 0   # lines read so far, also the records: quotes end the blocks
     blocks = _blocks(fh, path)
+    pending: deque[str] = deque()   # lines of the block csv reads
+
+    def csv_lines():
+        while True:
+            while pending:
+                yield pending.popleft()
+            block = next(blocks, None)
+            if block is None:
+                return
+            pending.extend(block[0])
+
+    reader = csv.reader(csv_lines())
+    record = split_lines = 0   # records read; lines read by splitting
     try:
         for lines, text, data in blocks:
-            plain, quoted = _line_kinds(data, len(lines))
-            plain[0] &= record > 0   # a header would fail its block's conversion
-            plain = plain[:quoted]
-            for i in np.flatnonzero(~plain).tolist():
-                try:
-                    row = next(csv.reader(lines[i:i + 1]))
-                except csv.Error as exc:
-                    raise TraceInputError(f"cannot read poll records from {path} after "
-                                          f"line {record + i + 1}: {exc}") from exc
-                one_row(record + i + 1, row)
-            if quoted < len(lines) or not plain.all():
-                text = "".join(compress(lines, plain.tolist()))
-            if plain.any():
-                plain_rows(text if text.endswith("\n") else text + "\n",
-                           np.flatnonzero(plain) + record + 1)
-            record += quoted
-            if quoted < len(lines):
-                # a quoted field may span lines: csv reads the rest of the file
-                reader = csv.reader(chain(lines[quoted:], chain.from_iterable(
-                    block[0] for block in blocks)))
-                try:
-                    for number, row in enumerate(reader, start=record + 1):
-                        one_row(number, row)
-                except csv.Error as exc:
-                    raise TraceInputError(f"cannot read poll records from {path} after "
-                                          f"line {record + reader.line_num}: {exc}") from exc
+            n = len(lines)
+            if _plain(text, data, n):
+                fields = text.replace("\n", ",").split(",")
+                del fields[4 * n:]   # the empty field after a last newline
+                add_rows(fields, range(record + 1, record + n + 1))
+                record += n
+                split_lines += n
+                continue
+            pending.extend(lines)
+            rows = []
+            try:
+                while pending:   # a quoted record may take lines of the next block
+                    rows.append(next(reader))
+            except csv.Error as exc:
+                raise TraceInputError(f"cannot read poll records from {path} after "
+                                      f"line {split_lines + reader.line_num}: {exc}") from exc
+            fields, numbers = [], []
+            for number, row in enumerate(rows, start=record + 1):
+                if len(row) == 4:
+                    fields += row
+                    numbers.append(number)
+                elif row and not (number == 1 and row[0].strip().lower() == "timestamp"):
+                    rejects.append((number, ",".join(row), f"expected 4 fields, got {len(row)}"))
+            if numbers:
+                add_rows(fields, numbers)
+            record += len(rows)
     finally:
         if close:
             fh.close()
-    columns.append(tuple(np.array(c, dtype=d) for c, d in
-                         zip(rows, (np.int64, float, np.intp, np.intp, np.int64))))
-    record_no, t, ap, user, packets = (np.concatenate(c) for c in zip(*columns))
-    if rows[0]:
-        order = np.argsort(record_no)   # back in file order
-        t, ap, user, packets = t[order], ap[order], user[order], packets[order]
+    t, ap, user, packets = (np.concatenate(c) for c in zip(*columns))
     return (PollTable.from_codes(t, ap, ap_index, user, user_index, packets),
             sorted(rejects))
 

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import trace_reference as ref
 from multicell import cli, model, trace
@@ -119,7 +119,7 @@ def poll_texts(draw):
     """Poll files as text: an optional header, rows with good and bad
     fields, names that need quotes (one spans two lines), blank lines,
     wrong field counts and, rarely, a carriage return inside a field;
-    LF or CRLF line ends."""
+    LF, CRLF or CR line ends, or a mix."""
     lines = []
     if draw(st.booleans()):
         lines.append(draw(st.sampled_from(["timestamp,ap,user,packets", " Timestamp ,x",
@@ -139,7 +139,9 @@ def poll_texts(draw):
         elif kind == "cr" and draw(st.integers(0, 4)) == 0:
             row[1] += "\rX"
         lines.append(",".join(row))
-    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    style = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) if style == "mixed" else style
+            for _ in lines]
     if lines and draw(st.booleans()):
         ends[-1] = ""
     return "".join(line + end for line, end in zip(lines, ends))
@@ -164,11 +166,15 @@ def assert_parses_as_reference(source, reference_source):
 
 class TestParserAgainstReference:
     @settings(max_examples=200, deadline=None)
-    @given(poll_texts(), st.sampled_from(["stream", "file", "gzip"]),
+    @given(poll_texts(), st.sampled_from(["stream", "raw stream", "file", "gzip"]),
            st.sampled_from([1, 16, 64, trace._BLOCK]))
+    # three commas a line on average, but lines of three and five fields
+    @example("100,AP1,u1\n200,AP2,u2,5,9\n300,AP3,u3,7\n", "stream", trace._BLOCK)
     def test_equals_row_reader(self, tmp_path_factory, text, source, block):
         if source == "stream":
             sources = io.StringIO(text), io.StringIO(text)
+        elif source == "raw stream":   # as the csv docs advise: lines also end at a lone CR
+            sources = io.StringIO(text, newline=""), io.StringIO(text, newline="")
         else:
             path = tmp_path_factory.mktemp("polls") / ("polls.csv.gz" if source == "gzip"
                                                        else "polls.csv")
@@ -178,8 +184,14 @@ class TestParserAgainstReference:
                                                                       encoding="utf-8")
         with mock.patch.object(trace, "_BLOCK", block):
             assert_parses_as_reference(*sources)
-        if source != "stream":
+        if "stream" not in source:
             sources[1].close()
+
+    def test_lone_carriage_returns_end_lines_of_a_raw_stream(self):
+        text = "100,AP1,u1,5\r200,AP2,u2,6\r300,AP3,u3,7\r"
+        table, rejects = trace.parse_polls(io.StringIO(text, newline=""))
+        assert rejects == [] and list(table.aps) == ["AP1", "AP2", "AP3"]
+        assert_parses_as_reference(io.StringIO(text, newline=""), io.StringIO(text, newline=""))
 
     def test_long_file_equals_row_reader(self):
         # 15,000 records in blocks of 64 KiB: quoted records spanning two
