@@ -32,10 +32,10 @@ import gzip
 import math
 import time
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import accumulate, compress
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -171,30 +171,10 @@ def _group_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
 
 
-def _poll_row(row: list[str]):
-    """A CSV row's (timestamp, packets), or why the row is rejected."""
-    if len(row) != 4:
-        return f"expected 4 fields, got {len(row)}"
-    try:
-        ts = float(row[0])
-        packets = int(row[3])
-    except ValueError as exc:
-        return str(exc)
-    if not math.isfinite(ts):
-        return "non-finite timestamp"
-    if not _TS_MIN <= ts < _TS_MAX:
-        return "timestamp outside the years 1-9999"
-    if packets < 0:
-        return f"negative packets {packets}"
-    if packets > _INT64_MAX:
-        return f"packets {packets} above 2**63 - 1"
-    return ts, packets
-
-
-def _blocks(fh, path):
-    """The file's lines in blocks of about ``_BLOCK`` characters, each with
-    its text and that text as UTF-8 bytes. A line holding a byte that is not
-    UTF-8 raises ``TraceInputError`` naming the line."""
+def _lines(fh, path):
+    """The file's lines, read in blocks of about ``_BLOCK`` characters. A
+    line holding a byte that is not UTF-8 raises ``TraceInputError`` naming
+    the line."""
     line = 0
     while True:
         try:
@@ -206,7 +186,7 @@ def _blocks(fh, path):
             return
         text = "".join(lines)
         try:
-            data = text.encode()
+            text.encode()
         except UnicodeEncodeError as exc:
             # undecodable bytes arrive as the surrogates U+DC80..U+DCFF
             bad = text[exc.start]
@@ -215,33 +195,8 @@ def _blocks(fh, path):
                 f"cannot read poll records from {path}: line "
                 f"{line + bisect_right(list(accumulate(map(len, lines))), exc.start) + 1} "
                 f"holds {what}, which is not UTF-8") from None
-        yield lines, text, data
+        yield from lines
         line += len(lines)
-
-
-def _plain(text: str, data: bytes, n: int) -> bool:
-    """Whether all n lines of a block are plain: three commas, no quote and
-    no carriage return, so that splitting them at commas reads them as
-    ``csv`` would. Such lines end at newlines, and no field is longer than
-    ``csv`` allows if the block is not."""
-    if '"' in text or "\r" in text or len(text) > csv.field_size_limit():
-        return False
-    b = np.frombuffer(data, dtype=np.uint8)
-    commas = np.flatnonzero(b == 44)
-    if len(commas) != 3 * n:
-        return False
-    # with 3n commas in all, line k has three iff its first and third are in it
-    ends, line = np.flatnonzero(b == 10), np.arange(n)
-    return bool((np.searchsorted(ends, commas[0::3]) == line).all()
-                and (np.searchsorted(ends, commas[2::3]) == line).all())
-
-
-def _codes(names, index: dict[str, int]) -> np.ndarray:
-    """Codes of the stripped names in a first-sight index, extended."""
-    raw = dict.fromkeys(names)
-    for name in raw:
-        raw[name] = index.setdefault(name.strip(), len(index))
-    return np.fromiter(map(raw.__getitem__, names), dtype=np.intp, count=len(names))
 
 
 def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
@@ -253,12 +208,6 @@ def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
     record numbers run behind the line numbers. Files are UTF-8 with an
     optional byte-order mark, gzip-compressed by suffix. A file that cannot
     be read as text raises ``TraceInputError`` naming the file and line.
-
-    Lines are read in blocks. A block of plain lines (see ``_plain``) is
-    split at its commas; ``csv`` reads every other block, and a quoted
-    record may carry it into the next. Either way the rows' fields are
-    converted as columns, and ``_poll_row`` checks the rows that fail the
-    column checks, so reject reasons come from it alone.
     """
     close = False
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -268,83 +217,46 @@ def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
         close = True
     else:
         path, fh = getattr(source, "name", "<stream>"), source
+    times, aps, users, packet_counts, rejects = [], [], [], [], []
     ap_index: dict[str, int] = {}
     user_index: dict[str, int] = {}
-    # per block: t, ap, user, packets; empty columns first give the dtypes
-    columns: list[tuple] = [(np.zeros(0), np.zeros(0, dtype=np.intp),
-                             np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64))]
-    rejects: list[tuple[int, str, str]] = []
-
-    def add_rows(fields: list[str], records) -> None:
-        # fields holds the rows' four fields in turn; records their numbers
-        if records[0] == 1 and fields[0].strip().lower() == "timestamp":
-            fields, records = fields[4:], records[1:]
-        n = len(records)
-        try:
-            t = np.array(fields[0::4], dtype=float)
-            packets = np.array(fields[3::4], dtype=np.int64)
-        except (ValueError, OverflowError):   # a bad row, or packets beyond int64
-            t, packets, ok = np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
-        else:
-            ok = np.isfinite(t) & (_TS_MIN <= t) & (t < _TS_MAX) & (packets >= 0)
-        for i in np.flatnonzero(~ok).tolist():
-            got = _poll_row(fields[4 * i:4 * i + 4])
-            if isinstance(got, str):
-                rejects.append((records[i], ",".join(fields[4 * i:4 * i + 4]), got))
-            else:
-                t[i], packets[i], ok[i] = got[0], got[1], True
-        keep = ok.tolist()
-        columns.append((t[ok], _codes(list(compress(fields[1::4], keep)), ap_index),
-                        _codes(list(compress(fields[2::4], keep)), user_index), packets[ok]))
-
-    blocks = _blocks(fh, path)
-    pending: deque[str] = deque()   # lines of the block csv reads
-
-    def csv_lines():
-        while True:
-            while pending:
-                yield pending.popleft()
-            block = next(blocks, None)
-            if block is None:
-                return
-            pending.extend(block[0])
-
-    reader = csv.reader(csv_lines())
-    record = split_lines = 0   # records read; lines read by splitting
+    reader = csv.reader(_lines(fh, path))
     try:
-        for lines, text, data in blocks:
-            n = len(lines)
-            if _plain(text, data, n):
-                fields = text.replace("\n", ",").split(",")
-                del fields[4 * n:]   # the empty field after a last newline
-                add_rows(fields, range(record + 1, record + n + 1))
-                record += n
-                split_lines += n
+        for record, row in enumerate(reader, start=1):
+            if not row or (record == 1 and row[0].strip().lower() == "timestamp"):
                 continue
-            pending.extend(lines)
-            rows = []
+            if len(row) != 4:
+                rejects.append((record, ",".join(row), f"expected 4 fields, got {len(row)}"))
+                continue
             try:
-                while pending:   # a quoted record may take lines of the next block
-                    rows.append(next(reader))
-            except csv.Error as exc:
-                raise TraceInputError(f"cannot read poll records from {path} after "
-                                      f"line {split_lines + reader.line_num}: {exc}") from exc
-            fields, numbers = [], []
-            for number, row in enumerate(rows, start=record + 1):
-                if len(row) == 4:
-                    fields += row
-                    numbers.append(number)
-                elif row and not (number == 1 and row[0].strip().lower() == "timestamp"):
-                    rejects.append((number, ",".join(row), f"expected 4 fields, got {len(row)}"))
-            if numbers:
-                add_rows(fields, numbers)
-            record += len(rows)
+                ts = float(row[0])
+                packets = int(row[3])
+            except ValueError as exc:
+                rejects.append((record, ",".join(row), str(exc)))
+                continue
+            if not math.isfinite(ts):
+                why = "non-finite timestamp"
+            elif not _TS_MIN <= ts < _TS_MAX:
+                why = "timestamp outside the years 1-9999"
+            elif packets < 0:
+                why = f"negative packets {packets}"
+            elif packets > _INT64_MAX:
+                why = f"packets {packets} above 2**63 - 1"
+            else:
+                times.append(ts)
+                aps.append(ap_index.setdefault(row[1].strip(), len(ap_index)))
+                users.append(user_index.setdefault(row[2].strip(), len(user_index)))
+                packet_counts.append(packets)
+                continue
+            rejects.append((record, ",".join(row), why))
+    except csv.Error as exc:
+        raise TraceInputError(
+            f"cannot read poll records from {path} after line {reader.line_num}: {exc}"
+        ) from exc
     finally:
         if close:
             fh.close()
-    t, ap, user, packets = (np.concatenate(c) for c in zip(*columns))
-    return (PollTable.from_codes(t, ap, ap_index, user, user_index, packets),
-            sorted(rejects))
+    return PollTable.from_codes(times, aps, ap_index, users, user_index, packet_counts), rejects
 
 
 def infer_cadence(table: PollTable) -> float:
