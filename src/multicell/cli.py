@@ -23,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -382,7 +383,8 @@ def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: flo
                       burst_sessions=bursts, sessions_total=len(table),
                       stage_polls=len(visit), closed_user_polls=len(closed_t),
                       unpolled_stages=int(np.count_nonzero(~polled)),
-                      unpolled_sessions=len(table) - len(np.unique(session[polled])))
+                      unpolled_sessions=int(np.count_nonzero(
+                          np.bincount(session[polled], minlength=len(table)) == 0)))
 
     observed = days * window
     truth = {
@@ -411,18 +413,58 @@ def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: flo
     return polls, truth
 
 
+#: Rows joined per write by ``write_polls_csv``, so that the text of only
+#: one block is held at a time.
+POLL_BLOCK_ROWS = 8192
+
+
 def write_polls_csv(polls: PollTable, path) -> None:
-    """``timestamp,ap,user,packets`` rows in (timestamp, ap, user) order."""
+    """``timestamp,ap,user,packets`` rows in (timestamp, ap, user) order, as
+    ``csv.writer`` writes them. Each distinct field value is formatted once,
+    and rows are joined and written ``POLL_BLOCK_ROWS`` at a time."""
+    from .polls import csv_fields, distinct
+
     order = np.lexsort((polls.user, polls.ap, polls.t))
-    _write_csv(path, ["timestamp", "ap", "user", "packets"],
-               zip(map(repr, polls.t[order].tolist()),
-                   [polls.aps[a] for a in polls.ap[order].tolist()],
-                   [polls.users[u] for u in polls.user[order].tolist()],
-                   polls.packets[order].tolist()))
+    t = polls.t[order]
+    bits = t.view(np.int64)
+    new = np.ones(len(t), dtype=bool)    # a new text at each change of bit pattern,
+    new[1:] = bits[1:] != bits[:-1]      # so that -0.0 keeps its sign
+    packets = polls.packets[order]
+    values = distinct(packets)
+    columns = ((np.array(list(map(repr, t[new].tolist())), dtype=object), np.cumsum(new) - 1),
+               (np.array(csv_fields(polls.aps), dtype=object), polls.ap[order]),
+               (np.array(csv_fields(polls.users), dtype=object), polls.user[order]),
+               (np.array(list(map(str, values.tolist())), dtype=object),
+                np.searchsorted(values, packets)))
+    with open(path, "w", newline="") as fh:
+        fh.write("timestamp,ap,user,packets\r\n")
+        for i in range(0, len(order), POLL_BLOCK_ROWS):
+            block = slice(i, i + POLL_BLOCK_ROWS)
+            fh.write("\r\n".join(map(",".join, zip(*(text[code[block]].tolist()
+                                                     for text, code in columns)))))
+            fh.write("\r\n")
+
+
+def _check_fixture_args(args, cell_count: int) -> None:
+    """Raise ValidationError naming each ``fixture`` flag out of its bounds."""
+    rules = [("--days", args.days, args.days >= 1, "at least 1"),
+             ("--cadence", args.cadence, 0 < args.cadence < math.inf, "positive and finite"),
+             ("--closed-users", args.closed_users, args.closed_users >= 0, "at least 0"),
+             ("--burst-size", args.burst_size, args.burst_size >= 1, "at least 1"),
+             ("--bursts-per-day", args.bursts_per_day, 0 <= args.bursts_per_day < math.inf,
+              "finite and at least 0")]
+    if args.bursty_cell is not None:
+        rules.append(("--bursty-cell", args.bursty_cell, 1 <= args.bursty_cell <= cell_count,
+                      f"a cell of the config, 1..{cell_count}"))
+    problems = [f"{flag} must be {rule}, got {value}" for flag, value, ok, rule in rules
+                if not ok]
+    if problems:
+        raise ValidationError("; ".join(problems))
 
 
 def cmd_fixture(args) -> int:
     spec = _load_valid_spec(args.config)
+    _check_fixture_args(args, spec.cell_count)
     out = Path(args.out)
     write_manifest(out, "fixture", vars(args), [args.config])
     run: dict = {}
@@ -460,6 +502,15 @@ def cmd_trace(args) -> int:
             closed_user_hours=args.closed_user_hours,
             poll_cadence=args.cadence,
         )
+        window = pcfg.work_end - pcfg.work_start
+        if not 0 < args.test_interval <= window:
+            # each working day must hold at least one whole interval
+            raise ValueError(f"--test-interval must be in (0, {window!r}] s, the working "
+                             f"window, got {args.test_interval}")
+        for flag, value in (("--threshold-eta", args.threshold_eta),
+                            ("--threshold-theta", args.threshold_theta)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value}")
     except ValueError as exc:
         raise ValidationError(f"invalid trace settings: {exc}") from exc
     try:

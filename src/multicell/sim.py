@@ -127,8 +127,9 @@ def session_table(spec: NetworkSpec, horizon: float, rng: np.random.Generator) -
         stages, holds = sample_sessions(rs.law, n, rng)
         visits += int(stages.sum())
         _check_cap(visits)
-        blocks.append((np.full(n, l), arrival, stages,
-                       np.pad(holds, ((0, 0), (0, K - holds.shape[1])))))
+        padded = np.zeros((n, K))
+        padded[:, :holds.shape[1]] = holds
+        blocks.append((np.full(n, l), arrival, stages, padded))
     return SessionTable(*(np.concatenate(column) for column in zip(*blocks)))
 
 

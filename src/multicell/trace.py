@@ -36,12 +36,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import accumulate
-from types import SimpleNamespace
 
 import numpy as np
 
 # PollRecord is here for callers: the rows a PollTable yields
-from .polls import PollRecord, PollTable, PreprocessConfig
+from .polls import PollRecord, PollTable, PreprocessConfig, csv_fields, distinct
 from .sim import interval_counts
 from .stats import TestReport, independence_test, poisson_dist_test
 
@@ -157,13 +156,6 @@ def _day_pairs(codes: np.ndarray, day: np.ndarray):
     return pair_code, pair_day + d0, inverse, counts
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values. (A bare ``np.unique`` imports ``numpy.ma``
-    in numpy 2, about 20 ms of a fresh process.)"""
-    values = np.sort(values)
-    return values[np.r_[True, values[1:] != values[:-1]]] if len(values) else values
-
-
 def _group_starts(keys: np.ndarray) -> np.ndarray:
     """First index of each run of equal values in a sorted array."""
     if not len(keys):
@@ -261,7 +253,7 @@ def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
 
 def infer_cadence(table: PollTable) -> float:
     """Modal positive gap between consecutive distinct poll timestamps."""
-    gaps, counts = np.unique(np.diff(_distinct(table.t)), return_counts=True)
+    gaps, counts = np.unique(np.diff(distinct(table.t)), return_counts=True)
     if not len(gaps):
         raise TraceInputError("cannot infer poll cadence from fewer than 2 distinct "
                               "timestamps; give the cadence explicitly")
@@ -286,7 +278,7 @@ def filter_window(table: PollTable, cfg: PreprocessConfig) -> PollTable:
     keep = (np.isin((day + 3) % 7, cfg.weekdays)
             & (cfg.work_start <= second) & (second < cfg.work_end))
     if cfg.excluded_date_ranges:
-        excluded = [d for d in _distinct(day[keep]).tolist() if _excluded(cfg, _iso(d))]
+        excluded = [d for d in distinct(day[keep]).tolist() if _excluded(cfg, _iso(d))]
         keep &= ~np.isin(day, excluded)
     return table.take(keep)
 
@@ -504,14 +496,14 @@ def classify_open_closed(table: PollTable, cfg: PreprocessConfig, cadence: float
                          ) -> tuple[set[str], set[str], float]:
     """Split users into open and closed; a user attached at least the
     configured number of hours on any single day is closed."""
-    present = _distinct(table.user)
+    present = distinct(table.user)
     if not len(present):
         return set(), set(), 0.0
     day, _ = _utc_days(table.t)
     pair_user, _, _, polls = _day_pairs(table.user, day)
     # attachment time as the running sum of one cadence per poll
     attached = np.cumsum(np.full(polls.max(), cadence))[polls - 1]
-    closed_codes = _distinct(pair_user[attached >= cfg.closed_user_hours * 3600.0 - 1e-9])
+    closed_codes = distinct(pair_user[attached >= cfg.closed_user_hours * 3600.0 - 1e-9])
     closed = {table.users[u] for u in closed_codes.tolist()}
     open_users = {table.users[u] for u in present.tolist()} - closed
     return open_users, closed, len(closed) / len(present)
@@ -603,7 +595,7 @@ class APValidity:
 def observed_days(table: PollTable) -> dict[str, set[str]]:
     """Per AP, the set of ISO days with at least one (surviving) record."""
     pair_ap, pair_day, _, _ = _day_pairs(table.ap, _utc_days(table.t)[0])
-    iso = {d: _iso(d) for d in _distinct(pair_day).tolist()}
+    iso = {d: _iso(d) for d in distinct(pair_day).tolist()}
     days: dict[str, set[str]] = {}
     for ap, day in zip(pair_ap.tolist(), pair_day.tolist()):
         days.setdefault(table.aps[ap], set()).add(iso[day])
@@ -810,21 +802,14 @@ def run_pipeline(polls: PollTable, cfg: PreprocessConfig, rejects=None,
     validity = test_ap_validity(series, interval, eta_threshold, theta_threshold)
     return TraceResult(cadence, len(polls), rejects or [], removed, open_users,
                        closed_users, frac, sessions, stage_table, estimates, series,
-                       validity, ap_days, counts=counts, epochs=_distinct(valid.t))
-
-
-def _csv_fields(names) -> list[str]:
-    """Each name as ``csv.writer`` writes it inside a row."""
-    # writerow returns what the file's write returns, and str(row) is row
-    row = csv.writer(SimpleNamespace(write=str)).writerow
-    return [row((name, ""))[:-3] for name in names]   # less ",\r\n"
+                       validity, ap_days, counts=counts, epochs=distinct(valid.t))
 
 
 def write_sessions_csv(sessions: StageTable, path) -> None:
     """``user,stage,ap,entry,exit`` rows, stages numbered from 1, as
     ``csv.writer`` writes them; each name is formatted once."""
-    user = np.array(_csv_fields(sessions.users), dtype=object)[sessions.user[sessions.session]]
-    ap = np.array(_csv_fields(sessions.aps), dtype=object)[sessions.ap]
+    user = np.array(csv_fields(sessions.users), dtype=object)[sessions.user[sessions.session]]
+    ap = np.array(csv_fields(sessions.aps), dtype=object)[sessions.ap]
     stage = np.arange(len(sessions.ap)) - sessions.first_stages()[sessions.session] + 1
     with open(path, "w", newline="") as fh:
         fh.write("user,stage,ap,entry,exit\r\n")

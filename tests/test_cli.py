@@ -2,6 +2,7 @@ import csv
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import fixture_reference
 from multicell import cli, model
+from multicell.polls import PollRecord, PollTable
 from conftest import run_fresh, single_cell_spec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -425,6 +427,32 @@ class TestFixtureAndTrace:
         assert rc == 1
         assert "cadence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--test-interval", "0"), ("--test-interval", "-5"), ("--test-interval", "nan"),
+        ("--test-interval", "28801"), ("--threshold-eta", "nan"),
+        ("--threshold-theta", "inf")])
+    def test_trace_bad_test_settings_exit_1(self, tmp_path, capsys, flag, value):
+        polls = tmp_path / "polls.csv"
+        polls.write_text("timestamp,ap,user,packets\n1073293200.0,AP1,u1,5\n")
+        rc = cli.main(["trace", "--polls", str(polls), "--out", str(tmp_path / "o"),
+                       "--cadence", "300", flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid trace settings" in err and flag in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--days", "0"), ("--days", "-1"), ("--cadence", "0"), ("--cadence", "-5"),
+        ("--cadence", "nan"), ("--cadence", "inf"), ("--closed-users", "-2"),
+        ("--burst-size", "-1"), ("--burst-size", "0"), ("--bursts-per-day", "-1"),
+        ("--bursts-per-day", "nan"), ("--bursts-per-day", "inf"), ("--bursty-cell", "0"),
+        ("--bursty-cell", "3"), ("--bursty-cell", "99")])
+    def test_fixture_bad_arguments_exit_1(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, self._fixture_spec())
+        out = tmp_path / "fix"
+        assert cli.main(["fixture", "--config", cfg, "--out", str(out), flag, value]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trace_writes_step_counts(self, tmp_path):
         cfg = write_config(tmp_path, self._fixture_spec())
         fix_out = tmp_path / "fix"
@@ -565,6 +593,45 @@ class TestFixtureAgainstReference:
         assert list(zip(stage.tolist(), (epoch * cadence).tolist())) == expected
 
 
+#: Names with every character ``csv.writer`` quotes or keeps as it is.
+POLL_NAMES = st.text(st.sampled_from(list('aZ7 ,"\n\r\t;é€\u2028😀')), max_size=5)
+POLL_TIMES = st.one_of(st.sampled_from([0.0, -0.0, 1073293200.0, 1073293500.0, 1e16]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+POLL_PACKETS = st.one_of(st.sampled_from([0, 10, 2 ** 53, 2 ** 53 + 1, 2 ** 63 - 1]),
+                         st.integers(0, 2 ** 63 - 1))
+
+
+def _reference_polls_csv(polls, path):
+    """``fixture_reference.write_polls_csv`` on the table's rows, stably
+    sorted as the writer sorts them."""
+    fixture_reference.write_polls_csv(
+        sorted(polls, key=lambda r: (r.timestamp, r.ap, r.user)), path)
+
+
+class TestPollWriterAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.lists(st.builds(PollRecord, POLL_TIMES, POLL_NAMES, POLL_NAMES,
+                                      POLL_PACKETS), max_size=30),
+           block=st.sampled_from([1, 7, cli.POLL_BLOCK_ROWS]), repeat=st.integers(1, 3))
+    def test_equals_csv_writer(self, tmp_path_factory, records, block, repeat):
+        polls = PollTable.from_records(records * repeat)   # repeated rows tie in the sort
+        out = tmp_path_factory.mktemp("polls")
+        with mock.patch.object(cli, "POLL_BLOCK_ROWS", block):
+            cli.write_polls_csv(polls, out / "polls.csv")
+        _reference_polls_csv(polls, out / "ref.csv")
+        assert (out / "polls.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, cli.POLL_BLOCK_ROWS, 2 * cli.POLL_BLOCK_ROWS + 5])
+    def test_equals_csv_writer_across_blocks(self, tmp_path, rows):
+        names = ["AP 1", "ap,2", 'a"p', "é\n€"]
+        polls = PollTable.from_records([
+            PollRecord(1073293200.0 + 137.5 * (i % 97), names[i % 4], f" u{i % 331},",
+                       (i * 7919) % 2 ** 60) for i in range(rows)])
+        cli.write_polls_csv(polls, tmp_path / "polls.csv")
+        _reference_polls_csv(polls, tmp_path / "ref.csv")
+        assert (tmp_path / "polls.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 #: Runs ``cli.main`` on the JSON argv given (``import multicell`` alone for
 #: null) and prints the loaded ``multicell`` and ``numpy`` modules.
 _LOADED_MODULES = """
@@ -602,3 +669,5 @@ class TestImportGraph:
         assert {m for m in modules if m.startswith("multicell")} == {
             "multicell", "multicell.cli", "multicell.model",
             *(f"multicell.{m}" for m in loaded)}
+        # a bare np.unique loads numpy.ma, about 20 ms of a fresh process
+        assert "numpy.ma" not in modules
