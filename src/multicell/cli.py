@@ -8,13 +8,14 @@ Subcommands:
 * ``fixture``   -- deterministic synthetic polling trace with ground truth
 * ``trace``     -- full polling-log pipeline: sessions, parameters, validity
 
-Every run writes a manifest (subcommand, effective arguments, seed, input
-digests, tool version) into the output directory before any result file.
-Exit codes: 0 success, 1 validation failure, 2 runtime failure.
+``main`` parses the arguments, loads the config and checks every flag
+against ``FLAGS`` before it writes the manifest (subcommand, effective
+arguments, seed, input digests, tool version) and runs the subcommand.
+Exit codes: 0 success, 1 validation failure (usage errors too), 2 runtime.
 
 A process loads only the package modules its subcommand runs: ``model`` at
-import, and the others inside the ``cmd_*`` functions and the fixture
-helpers that call them.
+import, and the others inside the ``cmd_*`` functions, the fixture helpers
+that call them and the sampling-budget rule.
 """
 
 from __future__ import annotations
@@ -71,17 +72,13 @@ def write_manifest(outdir: Path, subcommand: str, args: dict, inputs: list) -> N
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _load_valid_spec(path) -> model.NetworkSpec:
-    try:
-        return model.load_spec(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot load network config {path}: {exc}") from exc
-    except model.ConfigError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 class ValidationError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):    # usage errors exit 1, as all bad input does
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def _discrete_spec(spec: model.NetworkSpec, samples: int, bin_width: float,
@@ -100,12 +97,9 @@ def _discrete_spec(spec: model.NetworkSpec, samples: int, bin_width: float,
 # analyze
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, spec: model.NetworkSpec, out: Path) -> None:
     from . import analytic
 
-    spec = _load_valid_spec(args.config)
-    out = Path(args.out)
-    write_manifest(out, "analyze", vars(args), [args.config])
     spec = _discrete_spec(spec, args.discretize_samples, args.bin_width, args.seed)
 
     warnings, rows = [], []
@@ -129,19 +123,15 @@ def cmd_analyze(args) -> int:
     for warning in warnings:
         print(f"warning: {warning}")
     print(f"analyze: wrote stage_means.csv, cell_means.csv, cell_pmf.csv to {out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, spec: model.NetworkSpec, out: Path) -> None:
     from . import analytic, sim
 
-    spec = _load_valid_spec(args.config)
-    out = Path(args.out)
-    write_manifest(out, "simulate", vars(args), [args.config])
     cfg = sim.SimConfig(horizon=args.horizon, warmup=args.warmup,
                         snapshot_interval=args.interval, seed=args.seed,
                         replications=args.replications)
@@ -165,7 +155,6 @@ def cmd_simulate(args) -> int:
                ["cell", "empirical_mean", "analytic_mean", "relative_error"], rows)
     print(f"simulate: {len(pooled)} snapshots over {cfg.replications} "
           f"replication(s) written to {out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +206,9 @@ def _bad_snapshot_line(path, width: int) -> str | None:
     return None
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, spec: model.NetworkSpec, out: Path) -> None:
     from . import analytic, stats
 
-    spec = _load_valid_spec(args.config)
-    if not Path(args.snapshots).is_file():
-        raise ValidationError(f"snapshot file not found: {args.snapshots}")
-    out = Path(args.out)
-    write_manifest(out, "compare", vars(args), [args.config, args.snapshots])
     spec = _discrete_spec(spec, args.discretize_samples, args.bin_width, args.seed)
     vectors = read_snapshots_csv(args.snapshots)
     if vectors and len(vectors[0]) != spec.cell_count:
@@ -232,20 +216,17 @@ def cmd_compare(args) -> int:
             f"snapshot dimension {len(vectors[0])} != cell count {spec.cell_count}")
     emp = stats.empirical_joint(vectors)
     form = analytic.cell_product_form(spec)
-    coords = spec.coordinates() if args.distance_max is not None else None
-    if args.distance_max is not None and coords is None:
-        raise ValidationError("--distance-max requires cell coordinates in the config")
-
     rows = []
-    if args.subset_size is not None:
-        sizes = [args.subset_size]
-    else:
-        sizes = list(range(1, min(5, spec.cell_count) + 1))
+    sizes = ([args.subset_size] if args.subset_size is not None
+             else list(range(1, min(5, spec.cell_count) + 1)))
     rng = np.random.default_rng(args.seed)
     for n in sizes:
-        study = stats.random_subset_study(emp, form, n, args.repeats, rng,
-                                          coordinates=coords,
-                                          max_distance=args.distance_max)
+        try:
+            study = stats.random_subset_study(emp, form, n, args.repeats, rng,
+                                              coordinates=spec.coordinates(),
+                                              max_distance=args.distance_max)
+        except stats.NoAdmissibleSubset as exc:
+            raise ValidationError(f"--distance-max {args.distance_max}: {exc}") from exc
         # the entropy gap needs two or more cells
         gap = (study.h_gap_mean, study.h_gap_std) if n > 1 else ("", "")
         rows.append((n, study.h_kl_mean, study.h_kl_std, *gap,
@@ -254,7 +235,6 @@ def cmd_compare(args) -> int:
                                             "h_gap_std", "h_real_mean", "h_real_std"],
                ([row[0]] + [repr(v) if v != "" else "" for v in row[1:]] for row in rows))
     print(f"compare: subset metrics for n={sizes} written to {out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -445,28 +425,7 @@ def write_polls_csv(polls: PollTable, path) -> None:
             fh.write("\r\n")
 
 
-def _check_fixture_args(args, cell_count: int) -> None:
-    """Raise ValidationError naming each ``fixture`` flag out of its bounds."""
-    rules = [("--days", args.days, args.days >= 1, "at least 1"),
-             ("--cadence", args.cadence, 0 < args.cadence < math.inf, "positive and finite"),
-             ("--closed-users", args.closed_users, args.closed_users >= 0, "at least 0"),
-             ("--burst-size", args.burst_size, args.burst_size >= 1, "at least 1"),
-             ("--bursts-per-day", args.bursts_per_day, 0 <= args.bursts_per_day < math.inf,
-              "finite and at least 0")]
-    if args.bursty_cell is not None:
-        rules.append(("--bursty-cell", args.bursty_cell, 1 <= args.bursty_cell <= cell_count,
-                      f"a cell of the config, 1..{cell_count}"))
-    problems = [f"{flag} must be {rule}, got {value}" for flag, value, ok, rule in rules
-                if not ok]
-    if problems:
-        raise ValidationError("; ".join(problems))
-
-
-def cmd_fixture(args) -> int:
-    spec = _load_valid_spec(args.config)
-    _check_fixture_args(args, spec.cell_count)
-    out = Path(args.out)
-    write_manifest(out, "fixture", vars(args), [args.config])
+def cmd_fixture(args, spec: model.NetworkSpec, out: Path) -> None:
     run: dict = {}
     start = time.perf_counter()
     polls, truth = generate_fixture(
@@ -481,38 +440,19 @@ def cmd_fixture(args) -> int:
     _write_json(out / "run.json", run)
     print(f"fixture: {len(polls)} poll records over {args.days} day(s) "
           f"written to {out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------
 
-def cmd_trace(args) -> int:
+def cmd_trace(args, spec: None, out: Path) -> None:
     from . import analytic, stats, trace
 
-    if not Path(args.polls).is_file():
-        raise ValidationError(f"poll file not found: {args.polls}")
-    out = Path(args.out)
-    write_manifest(out, "trace", vars(args), [args.polls])
-    try:
-        pcfg = trace.PreprocessConfig(
-            departure_threshold=args.departure_threshold,
-            pingpong_return=args.pingpong_return,
-            closed_user_hours=args.closed_user_hours,
-            poll_cadence=args.cadence,
-        )
-        window = pcfg.work_end - pcfg.work_start
-        if not 0 < args.test_interval <= window:
-            # each working day must hold at least one whole interval
-            raise ValueError(f"--test-interval must be in (0, {window!r}] s, the working "
-                             f"window, got {args.test_interval}")
-        for flag, value in (("--threshold-eta", args.threshold_eta),
-                            ("--threshold-theta", args.threshold_theta)):
-            if not math.isfinite(value):
-                raise ValueError(f"{flag} must be finite, got {value}")
-    except ValueError as exc:
-        raise ValidationError(f"invalid trace settings: {exc}") from exc
+    pcfg = trace.PreprocessConfig(departure_threshold=args.departure_threshold,
+                                  pingpong_return=args.pingpong_return,
+                                  closed_user_hours=args.closed_user_hours,
+                                  poll_cadence=args.cadence)
     try:
         start = time.perf_counter()
         records, rejects = trace.parse_polls(args.polls)
@@ -579,95 +519,140 @@ def cmd_trace(args) -> int:
     print(f"trace: {len(result.sessions)} sessions, "
           f"{len(result.valid_aps)}/{len(result.validity)} valid APs; "
           f"outputs in {out}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and the bounds table
 # ---------------------------------------------------------------------------
+
+#: The working window of the default ``PreprocessConfig``, 09:00 to 17:00.
+WORKDAY_S = 8 * 3600.0
+
+
+def _within_budget(_, args, spec: model.NetworkSpec) -> bool:
+    """Whether one replication (``--horizon`` long, or one working day for
+    ``fixture``) expects at most ``sim.STAGE_VISIT_CAP`` stage visits."""
+    from . import sim
+
+    horizon = getattr(args, "horizon", WORKDAY_S)     # a bad --horizon has its own rule
+    return not 0 < horizon < math.inf or sim.expected_visits(spec, horizon) <= sim.STAGE_VISIT_CAP
+
+
+# A rule is (words, test); test(value, args, spec) accepts the value. A flag
+# left at None (absent) is not tested.
+AT_LEAST_0 = ("at least 0", lambda v, *_: v >= 0)
+AT_LEAST_1 = ("at least 1", lambda v, *_: v >= 1)
+POSITIVE = ("positive", lambda v, *_: v > 0)
+POSITIVE_FINITE = ("positive and finite", lambda v, *_: 0 < v < math.inf)
+FINITE = ("finite", lambda v, *_: math.isfinite(v))
+FINITE_AT_LEAST_0 = ("finite and at least 0", lambda v, *_: 0 <= v < math.inf)
+A_CELL = ("in 1..cells", lambda v, _, spec: 1 <= v <= spec.cell_count)
+A_FILE = ("an existing file", lambda v, *_: Path(v).is_file())
+OUT_DIR = ("a directory, made if absent", lambda v, *_: Path(v).is_dir() or not Path(v).exists())
+BUDGET = ("a config expecting at most sim.STAGE_VISIT_CAP stage visits per replication",
+          _within_budget)
+BEFORE_HORIZON = ("finite, >= 0 and < --horizon", lambda v, a, _: 0 <= v < a.horizon)
+WITH_COORDINATES = ("positive, on a config with cell coordinates",
+                    lambda v, _, spec: v > 0 and spec.coordinates() is not None)
+# a working day must hold at least one whole test interval
+IN_WORKDAY = ("in (0, 28800] s", lambda v, *_: 0 < v <= WORKDAY_S)
+
+COMMON = {"--out": (OUT_DIR, dict(required=True, help="output directory")),
+          "--seed": (AT_LEAST_0, dict(type=int, default=0))}
+DISCRETIZATION = {
+    "--discretize-samples": (AT_LEAST_1, dict(
+        type=int, default=200_000, help="Monte-Carlo samples when discretizing generative laws")),
+    "--bin-width": (POSITIVE_FINITE, dict(
+        type=float, default=1.0, help="holding-time bin width in seconds for discretization"))}
+
+#: The bounds table: per subcommand, its function, its help and, per flag,
+#: its rule (or None) and ``add_argument`` keywords. README.md's table of
+#: accepted values gives the same words.
+FLAGS = {
+    "analyze": (cmd_analyze, "closed-form per-stage/per-cell report", {
+        "--config": (None, dict(required=True)), **COMMON, **DISCRETIZATION}),
+    "simulate": (cmd_simulate, "session-table simulation", {
+        "--config": (BUDGET, dict(required=True)), **COMMON,
+        "--horizon": (POSITIVE_FINITE, dict(type=float, required=True, help="seconds")),
+        "--warmup": (BEFORE_HORIZON, dict(type=float, default=None)),
+        "--interval": (POSITIVE_FINITE, dict(type=float, default=None,
+                                             help="snapshot interval in seconds")),
+        "--replications": (AT_LEAST_1, dict(type=int, default=1))}),
+    "compare": (cmd_compare, "empirical vs analytical joint metrics", {
+        "--config": (None, dict(required=True)),
+        "--snapshots": (A_FILE, dict(required=True, help="snapshot CSV from simulate")),
+        **COMMON, **DISCRETIZATION,
+        "--subset-size": (A_CELL, dict(type=int, default=None)),
+        "--repeats": (AT_LEAST_1, dict(type=int, default=100)),
+        "--distance-max": (WITH_COORDINATES, dict(type=float, default=None,
+                                                  help="pairwise cell distance cap in meters"))}),
+    "fixture": (cmd_fixture, "synthetic polling trace with ground truth", {
+        "--config": (BUDGET, dict(required=True)), **COMMON,
+        "--days": (AT_LEAST_1, dict(type=int, default=5)),
+        "--cadence": (POSITIVE_FINITE, dict(type=float, default=300.0)),
+        "--closed-users": (AT_LEAST_0, dict(type=int, default=0)),
+        "--bursty-cell": (A_CELL, dict(type=int, default=None)),
+        "--burst-size": (AT_LEAST_1, dict(type=int, default=10)),
+        "--bursts-per-day": (FINITE_AT_LEAST_0, dict(type=float, default=6.0))}),
+    "trace": (cmd_trace, "polling-log pipeline", {
+        "--polls": (A_FILE, dict(required=True, help="poll CSV (optionally .gz)")), **COMMON,
+        "--cadence": (POSITIVE_FINITE, dict(type=float, default=None,
+                                            help="poll cadence in seconds (default: inferred)")),
+        "--departure-threshold": (POSITIVE, dict(type=float, default=600.0)),
+        "--pingpong-return": (POSITIVE, dict(type=float, default=300.0)),
+        "--closed-user-hours": (POSITIVE, dict(type=float, default=7.5)),
+        "--test-interval": (IN_WORKDAY, dict(
+            type=float, default=3600.0, help="arrival-count bucket length for the Poisson tests")),
+        "--threshold-eta": (FINITE, dict(type=float, default=0.15)),
+        "--threshold-theta": (FINITE, dict(type=float, default=0.15)),
+        "--exclude-mode": (None, dict(type=int, default=3, choices=(1, 2, 3),
+                                      help="1: drop sessions starting at invalid APs; "
+                                           "2: drop invalid APs from occupancy; 3: keep all")),
+        "--exclude-one-stage": (None, dict(action="store_true"))}),
+}
+
+
+def check_arguments(args, spec: model.NetworkSpec | None) -> None:
+    """Raise one ValidationError naming every flag of ``args`` that breaks
+    its rule in ``FLAGS``."""
+    problems = [f"{flag} must be {rule[0]}, got {value}"
+                for flag, (rule, _) in FLAGS[args.subcommand][2].items()
+                if rule and (value := getattr(args, flag[2:].replace("-", "_"))) is not None
+                and not rule[1](value, args, spec)]
+    if problems:
+        raise ValidationError(f"invalid {args.subcommand} settings: " + "; ".join(problems))
+
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="multicell",
-                                description="Multicell occupancy model toolkit")
+    p = _Parser(prog="multicell", description="Multicell occupancy model toolkit")
     sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp):
-        sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
-
-    def discretization(sp):
-        sp.add_argument("--discretize-samples", type=int, default=200_000,
-                        help="Monte-Carlo samples when discretizing generative laws")
-        sp.add_argument("--bin-width", type=float, default=1.0,
-                        help="holding-time bin width in seconds for discretization")
-
-    sp = sub.add_parser("analyze", help="closed-form per-stage/per-cell report")
-    sp.add_argument("--config", required=True)
-    common(sp)
-    discretization(sp)
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("simulate", help="session-table simulation")
-    sp.add_argument("--config", required=True)
-    common(sp)
-    sp.add_argument("--horizon", type=float, required=True, help="seconds")
-    sp.add_argument("--warmup", type=float, default=None)
-    sp.add_argument("--interval", type=float, default=None,
-                    help="snapshot interval in seconds")
-    sp.add_argument("--replications", type=int, default=1)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("compare", help="empirical vs analytical joint metrics")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--snapshots", required=True, help="snapshot CSV from simulate")
-    common(sp)
-    discretization(sp)
-    sp.add_argument("--subset-size", type=int, default=None)
-    sp.add_argument("--repeats", type=int, default=100)
-    sp.add_argument("--distance-max", type=float, default=None,
-                    help="pairwise cell distance cap in meters")
-    sp.set_defaults(func=cmd_compare)
-
-    sp = sub.add_parser("fixture", help="synthetic polling trace with ground truth")
-    sp.add_argument("--config", required=True)
-    common(sp)
-    sp.add_argument("--days", type=int, default=5)
-    sp.add_argument("--cadence", type=float, default=300.0)
-    sp.add_argument("--closed-users", type=int, default=0)
-    sp.add_argument("--bursty-cell", type=int, default=None)
-    sp.add_argument("--burst-size", type=int, default=10)
-    sp.add_argument("--bursts-per-day", type=float, default=6.0)
-    sp.set_defaults(func=cmd_fixture)
-
-    sp = sub.add_parser("trace", help="polling-log pipeline")
-    sp.add_argument("--polls", required=True, help="poll CSV (optionally .gz)")
-    common(sp)
-    sp.add_argument("--cadence", type=float, default=None,
-                    help="poll cadence in seconds (default: inferred)")
-    sp.add_argument("--departure-threshold", type=float, default=600.0)
-    sp.add_argument("--pingpong-return", type=float, default=300.0)
-    sp.add_argument("--closed-user-hours", type=float, default=7.5)
-    sp.add_argument("--test-interval", type=float, default=3600.0,
-                    help="arrival-count bucket length for the Poisson tests")
-    sp.add_argument("--threshold-eta", type=float, default=0.15)
-    sp.add_argument("--threshold-theta", type=float, default=0.15)
-    sp.add_argument("--exclude-mode", type=int, default=3, choices=(1, 2, 3),
-                    help="1: drop sessions starting at invalid APs; "
-                         "2: drop invalid APs from occupancy; 3: keep all")
-    sp.add_argument("--exclude-one-stage", action="store_true")
-    sp.set_defaults(func=cmd_trace)
+    for name, (func, help_, flags) in FLAGS.items():
+        sp = sub.add_parser(name, help=help_)
+        for flag, (_, kwargs) in flags.items():
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValidationError as exc:
+        args = build_parser().parse_args(argv)
+        given = vars(args)
+        try:
+            spec = model.load_spec(args.config) if "config" in given else None
+        except OSError as exc:
+            raise ValidationError(f"cannot load network config {args.config}: {exc}") from exc
+        check_arguments(args, spec)
+        out = Path(args.out)
+        write_manifest(out, args.subcommand, given,
+                       [given[k] for k in ("config", "snapshots", "polls") if k in given])
+        args.func(args, spec, out)
+        return 0
+    except (ValidationError, model.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:   # runtime failure
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -108,6 +108,15 @@ def sample_session(law: SessionLaw, rng: np.random.Generator) -> tuple[int, tupl
     return k, tuple(holds[0, :k].tolist())
 
 
+def expected_visits(spec: NetworkSpec, horizon: float) -> float:
+    """The mean stage visits of one replication over ``horizon``: the sum of
+    rate * horizon * E[stages] over the routes, with E[stages] the sum of a
+    discrete law's reach probabilities and 1, a lower bound, for a generative one."""
+    return sum(rs.arrival_rate * horizon * (sum(rs.law.stage_moments().reach)
+                                            if isinstance(rs.law, DiscreteSessionLaw) else 1.0)
+               for rs in spec.routes)
+
+
 def _check_cap(visits: int) -> None:
     if visits > STAGE_VISIT_CAP:
         raise RuntimeError(f"event count exceeded safety cap: more than "

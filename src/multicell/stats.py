@@ -167,11 +167,9 @@ def independence_test(arrival_counts, interval: float = 3600.0,
     """Normalized entropy gap between one-interval counts and consecutive
     pairs: eta = (2*H1 - H2) / H2, pass iff eta < threshold."""
     counts = [int(c) for c in arrival_counts]
-    if len(counts) < 2:
-        raise ValueError("need at least 2 intervals")
     h1 = _entropy_of_counts(list(Counter(counts).values()))
     h2 = _entropy_of_counts(list(Counter(zip(counts[:-1], counts[1:])).values()))
-    if h2 == 0.0:
+    if h2 == 0.0:     # also when there are fewer than 2 intervals
         return TestReport("independence", None, threshold, None,
                           len(counts), interval, degenerate=True)
     eta = (2.0 * h1 - h2) / h2
@@ -234,6 +232,10 @@ class SubsetStudy:
     h_real_std: float
 
 
+class NoAdmissibleSubset(ValueError):
+    """No drawn cell subset meets the distance constraint."""
+
+
 def random_subset_study(full: EmpiricalDistribution, form: ProductForm,
                         n_cells: int, repeats: int, rng: np.random.Generator,
                         coordinates: np.ndarray | None = None,
@@ -266,7 +268,8 @@ def random_subset_study(full: EmpiricalDistribution, form: ProductForm,
             if admissible(subset):
                 break
         else:
-            raise ValueError("no cell subset satisfies the distance constraint")
+            raise NoAdmissibleSubset(f"no {n_cells}-cell subset has every pairwise distance "
+                                     f"below {max_distance} in 10000 draws")
         emp = full.project(subset)
         sub_form = ProductForm(tuple(form.means[i - 1] for i in subset))
         cmp = compare_joint(emp, sub_form)

@@ -281,7 +281,9 @@ class TestCompareBadSnapshots:
         rc = cli.main(["compare", "--config", cfg, "--snapshots", str(missing),
                        "--out", str(tmp_path / "cmp")])
         assert rc == 1
-        assert f"snapshot file not found: {missing}" in capsys.readouterr().err
+        assert (f"invalid compare settings: --snapshots must be an existing file, got {missing}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestFixtureAndTrace:
@@ -389,8 +391,9 @@ class TestFixtureAndTrace:
         missing = tmp_path / "nope.csv"
         rc = cli.main(["trace", "--polls", str(missing), "--out", str(tmp_path / "o")])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "not found" in err and str(missing) in err
+        assert (f"invalid trace settings: --polls must be an existing file, got {missing}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_trace_non_gzip_gz_exit_1(self, tmp_path, capsys):
         polls = tmp_path / "polls.csv.gz"
@@ -506,6 +509,185 @@ class TestFixtureAndTrace:
         rc = cli.main(["trace", "--polls", str(polls), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "line 5 holds byte 0xff, which is not UTF-8" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the front door: every flag checked against cli.FLAGS before anything is written
+# ---------------------------------------------------------------------------
+
+def _one_route_config(rate: float, cells: int = 1, meta=None) -> dict:
+    config = {"cells": cells, "routes": [{"cells": [1], "arrival_rate": rate, "law": {
+        "kind": "discrete", "stage_probs": [1.0],
+        "realizations": [[{"weight": 1.0, "holding": [300.0]}]]}}]}
+    if meta is not None:
+        config["cell_meta"] = meta
+    return config
+
+
+class TestFrontDoor:
+    def _paths(self, tmp_path):
+        one = write_config(tmp_path, single_cell_spec(rate=0.01, hold=300.0), "one.json")
+        two = write_config(tmp_path, two_cell_spec(), "two.json")
+        snapshots = tmp_path / "snapshots.csv"
+        snapshots.write_text("time,y1,y2\n0.0,1,2\n10.0,0,1\n")
+        return one, two, str(snapshots)
+
+    @pytest.mark.parametrize("subcommand, extra, flag", [
+        ("simulate", ["--warmup", "20", "--horizon", "10"], "--warmup"),
+        ("simulate", ["--warmup", "-1", "--horizon", "10"], "--warmup"),
+        ("simulate", ["--horizon", "100", "--replications", "0"], "--replications"),
+        ("simulate", ["--horizon", "100", "--interval", "0"], "--interval"),
+        ("simulate", ["--horizon", "-5"], "--horizon"),
+        ("simulate", ["--horizon", "nan"], "--horizon"),
+        ("simulate", ["--horizon", "inf"], "--horizon"),
+        ("simulate", ["--horizon", "100", "--seed", "-1"], "--seed"),
+        ("analyze", ["--discretize-samples", "0"], "--discretize-samples"),
+        ("analyze", ["--bin-width", "0"], "--bin-width"),
+        ("analyze", ["--bin-width", "nan"], "--bin-width"),
+        ("compare", ["--repeats", "0"], "--repeats"),
+        ("compare", ["--subset-size", "0"], "--subset-size"),
+        ("compare", ["--subset-size", "-1"], "--subset-size"),
+        ("compare", ["--subset-size", "5"], "--subset-size"),
+        ("fixture", ["--seed", "-1"], "--seed"),
+        ("fixture", ["--days", "abc"], "--days"),
+        ("analyze", None, "--config"),
+    ])
+    def test_bad_flag_exit_1_before_writing(self, tmp_path, capsys, subcommand, extra, flag):
+        one, two, snapshots = self._paths(tmp_path)
+        out = tmp_path / "out"
+        if extra is None:         # the flag itself is missing
+            argv = [subcommand, "--out", str(out)]
+        elif subcommand == "compare":
+            argv = [subcommand, "--config", two, "--snapshots", snapshots, "--out", str(out),
+                    *extra]
+        else:
+            argv = [subcommand, "--config", one, "--out", str(out), *extra]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand, extra", [
+        ("analyze", ["--seed", "0", "--discretize-samples", "1", "--bin-width", "5e-324"]),
+        ("simulate", ["--horizon", "10", "--warmup", "0", "--interval", "5e-324",
+                      "--replications", "1"]),
+        ("simulate", ["--horizon", "5e-324"]),
+        ("compare", ["--subset-size", "1", "--repeats", "1", "--distance-max", "5e-324"]),
+        ("compare", ["--subset-size", "2"]),
+        ("fixture", ["--days", "1", "--cadence", "5e-324", "--closed-users", "0",
+                     "--bursty-cell", "1", "--burst-size", "1", "--bursts-per-day", "0"]),
+        ("fixture", ["--bursty-cell", "2"]),
+        ("trace", ["--test-interval", "28800", "--cadence", "5e-324",
+                   "--departure-threshold", "5e-324", "--pingpong-return", "5e-324",
+                   "--closed-user-hours", "5e-324", "--threshold-eta=-1e308",
+                   "--threshold-theta", "1e308"]),
+    ])
+    def test_values_on_the_bounds_accepted(self, tmp_path, subcommand, extra):
+        _, _, snapshots = self._paths(tmp_path)
+        two = tmp_path / "two_with_coordinates.json"
+        two.write_text(json.dumps(_one_route_config(0.01, cells=2, meta=[
+            {"name": "a", "x": 0.0, "y": 0.0}, {"name": "b", "x": 1.0, "y": 0.0}])))
+        argv = {"compare": ["--config", str(two), "--snapshots", snapshots],
+                "trace": ["--polls", snapshots]}.get(subcommand, ["--config", str(two)])
+        args = cli.build_parser().parse_args([subcommand, "--out", str(tmp_path / "o"),
+                                              *argv, *extra])
+        cli.check_arguments(args, model.load_spec(two) if "config" in vars(args) else None)
+
+    def test_every_bad_flag_in_one_message(self, tmp_path, capsys):
+        # the example README.md gives
+        two = write_config(tmp_path, two_cell_spec())
+        assert cli.main(["fixture", "--config", two, "--out", str(tmp_path / "o"),
+                         "--days", "0", "--bursty-cell", "9"]) == 1
+        example = re.search(r"\n(error: invalid fixture settings: .*)\n", README.read_text())
+        assert capsys.readouterr().err == example.group(1) + "\n"
+
+    def test_readme_table_equals_flags(self):
+        rows = re.findall(r"^\| (all|`[a-z`, ]+`) \| `(--[a-z-]+)` \| (.+?) \|$",
+                          README.read_text(), re.M)
+        documented = {}
+        for subcommands, flag, words in rows:
+            for name in cli.FLAGS if subcommands == "all" else re.findall(r"`(\w+)`", subcommands):
+                assert (name, flag) not in documented
+                documented[name, flag] = words
+        flags = {(name, flag): rule for name, (_, _, table) in cli.FLAGS.items()
+                 for flag, (rule, _) in table.items()}
+        assert set(documented) == set(flags)
+        for key, rule in flags.items():
+            if rule is not None:
+                assert documented[key] == rule[0], key
+
+    def test_workday_is_the_default_working_window(self):
+        from multicell.polls import PreprocessConfig
+        cfg = PreprocessConfig()
+        assert cli.WORKDAY_S == cfg.work_end - cfg.work_start
+
+    @pytest.mark.parametrize("subcommand, rate, extra", [
+        ("simulate", 1e300, ["--horizon", "100"]),       # a Poisson lam too large for numpy
+        ("simulate", 100.0, ["--horizon", "1e6"]),       # 1e8 expected visits
+        ("fixture", 1e300, ["--days", "1"]),
+    ])
+    def test_sampling_budget_exit_1(self, tmp_path, capsys, subcommand, rate, extra):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(_one_route_config(rate)))
+        out = tmp_path / "o"
+        assert cli.main([subcommand, "--config", str(cfg), "--out", str(out), *extra]) == 1
+        err = capsys.readouterr().err
+        assert "--config must be" in err and "sim.STAGE_VISIT_CAP" in err
+        assert not out.exists()
+
+    def test_expected_visits(self):
+        from multicell import sim
+        D = model.Dist.make
+        generative = model.GenerativeSessionLaw(D("exponential", mean=5.0),
+                                                (D("exponential", mean=5.0),) * 2)
+        spec = model.NetworkSpec(2, (
+            model.RouteSpec(model.Route((1, 2)), 1.0, two_cell_spec().routes[0].law),
+            model.RouteSpec(model.Route((2, 1)), 2.0, generative)))
+        # E[stages] is 0.5 * 1 + 0.5 * 2 for the discrete law, and 1 for the generative one
+        assert sim.expected_visits(spec, 200.0) == 1.5 * 200.0 + 2.0 * 200.0
+
+    def test_sampling_budget_bound_is_inclusive(self, tmp_path, monkeypatch):
+        from multicell import sim
+        monkeypatch.setattr(sim, "STAGE_VISIT_CAP", 100)
+        spec = single_cell_spec(rate=1.0, hold=2.0)
+        parse = cli.build_parser().parse_args
+        argv = ["simulate", "--config", "net.json", "--out", str(tmp_path / "o"), "--horizon"]
+        cli.check_arguments(parse([*argv, "100"]), spec)      # 100 expected stage visits
+        with pytest.raises(cli.ValidationError, match="--config must be"):
+            cli.check_arguments(parse([*argv, "100.5"]), spec)
+
+    def test_unreachable_distance_max_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "net.json"
+        cfg.write_text(json.dumps(_one_route_config(0.01, cells=2, meta=[
+            {"name": "a", "x": 0.0, "y": 0.0}, {"name": "b", "x": 1000.0, "y": 0.0}])))
+        snapshots = tmp_path / "snapshots.csv"
+        snapshots.write_text("time,y1,y2\n0.0,1,2\n10.0,0,1\n")
+        assert cli.main(["compare", "--config", str(cfg), "--snapshots", str(snapshots),
+                         "--out", str(tmp_path / "o"), "--subset-size", "2",
+                         "--distance-max", "10", "--repeats", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "--distance-max 10.0" in err and "no 2-cell subset" in err
+
+    def test_runtime_error_without_message_names_its_type(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def no_memory(path):
+            raise MemoryError()
+        monkeypatch.setattr(model, "load_spec", no_memory)
+        assert cli.main(["analyze", "--config", "net.json", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "runtime error: MemoryError\n"
+
+    def test_trace_one_test_interval_per_ap_gives_no_eta(self, tmp_path):
+        law = model.DiscreteSessionLaw(
+            (0.5, 0.5), (((1.0, (1200.0,)),), ((1.0, (900.0, 600.0)),)))
+        spec = model.NetworkSpec(2, (model.RouteSpec(model.Route((1, 2)), 1 / 500.0, law),))
+        fix_out, out = tmp_path / "fix", tmp_path / "trc"
+        assert cli.main(["fixture", "--config", write_config(tmp_path, spec),
+                         "--out", str(fix_out), "--seed", "3", "--days", "1"]) == 0
+        assert cli.main(["trace", "--polls", str(fix_out / "polls.csv"), "--out", str(out),
+                         "--cadence", "300", "--test-interval", "28800"]) == 0
+        with open(out / "ap_validity.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["eta"] == "" and r["valid"] == "False" for r in rows)
 
 
 # ---------------------------------------------------------------------------
