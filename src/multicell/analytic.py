@@ -213,14 +213,6 @@ def poisson_truncation(mean: float, tail: float = 1e-8) -> int:
     return int(np.searchsorted(np.cumsum(np.exp(logpmf)), 1.0 - tail))
 
 
-def truncated_support(form: ProductForm, tail: float = 1e-8):
-    """Iterate occupancy vectors covering >= 1-tail Poisson mass per coordinate."""
-    caps = [poisson_truncation(m, tail) for m in form.means]
-    grids = np.indices([c + 1 for c in caps]).reshape(len(caps), -1).T
-    for row in grids:
-        yield tuple(int(v) for v in row)
-
-
 def write_cell_means_csv(cm: CellMeans, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -15,7 +15,7 @@ Exit codes: 0 success, 1 validation failure (usage errors too), 2 runtime.
 
 A process loads only the package modules its subcommand runs: ``model`` at
 import, and the others inside the ``cmd_*`` functions, the fixture helpers
-that call them and the sampling-budget rule.
+that call them and the budget rules.
 """
 
 from __future__ import annotations
@@ -538,6 +538,36 @@ def _within_budget(_, args, spec: model.NetworkSpec) -> bool:
     return not 0 < horizon < math.inf or sim.expected_visits(spec, horizon) <= sim.STAGE_VISIT_CAP
 
 
+def _snapshots_within_budget(horizon: float, args, spec: model.NetworkSpec) -> bool:
+    """Whether ``--replications`` runs of ``sim.run`` take at most
+    ``sim.STAGE_VISIT_CAP`` cell counts in all, with the ``--warmup`` and
+    ``--interval`` defaults resolved as ``sim.run`` resolves them."""
+    from . import sim
+
+    warmup, interval = args.warmup, args.interval
+    if not ((warmup is None or 0 <= warmup < horizon)
+            and (interval is None or 0 < interval < math.inf)):
+        return True     # a bad --warmup or --interval has its own rule
+    cfg = sim.resolve_timing(spec, sim.SimConfig(horizon, warmup, interval))
+    snapshots = (cfg.horizon - cfg.warmup) // cfg.snapshot_interval + 1
+    return args.replications * snapshots * spec.cell_count <= sim.STAGE_VISIT_CAP
+
+
+def _polls_within_budget(cadence: float, args, spec: model.NetworkSpec) -> bool:
+    """Whether ``--days`` working days expect at most ``sim.STAGE_VISIT_CAP``
+    poll candidates: per day, the stage time over ``cadence`` plus the stage
+    visits, then the closed-user polls and three polls per burst session
+    (two cadences of hold and one visit)."""
+    from . import sim
+
+    stage_time = sum(rs.arrival_rate * WORKDAY_S * sim.mean_duration(rs.law)
+                     for rs in spec.routes)
+    bursts = args.burst_size * args.bursts_per_day if args.bursty_cell is not None else 0.0
+    per_day = (stage_time / cadence + sim.expected_visits(spec, WORKDAY_S)
+               + args.closed_users * (WORKDAY_S // cadence) + 3 * bursts)
+    return args.days * per_day <= sim.STAGE_VISIT_CAP
+
+
 # A rule is (words, test); test(value, args, spec) accepts the value. A flag
 # left at None (absent) is not tested.
 AT_LEAST_0 = ("at least 0", lambda v, *_: v >= 0)
@@ -552,6 +582,12 @@ OUT_DIR = ("a directory, made if absent", lambda v, *_: Path(v).is_dir() or not 
 BUDGET = ("a config expecting at most sim.STAGE_VISIT_CAP stage visits per replication",
           _within_budget)
 BEFORE_HORIZON = ("finite, >= 0 and < --horizon", lambda v, a, _: 0 <= v < a.horizon)
+SNAPSHOT_BUDGET = ("positive and finite, with replications * snapshots * cells "
+                   "<= sim.STAGE_VISIT_CAP",
+                   lambda v, a, spec: 0 < v < math.inf and _snapshots_within_budget(v, a, spec))
+POLL_BUDGET = ("positive and finite, with expected poll candidates over all days "
+               "<= sim.STAGE_VISIT_CAP",
+               lambda v, a, spec: 0 < v < math.inf and _polls_within_budget(v, a, spec))
 WITH_COORDINATES = ("positive, on a config with cell coordinates",
                     lambda v, _, spec: v > 0 and spec.coordinates() is not None)
 # a working day must hold at least one whole test interval
@@ -573,7 +609,7 @@ FLAGS = {
         "--config": (None, dict(required=True)), **COMMON, **DISCRETIZATION}),
     "simulate": (cmd_simulate, "session-table simulation", {
         "--config": (BUDGET, dict(required=True)), **COMMON,
-        "--horizon": (POSITIVE_FINITE, dict(type=float, required=True, help="seconds")),
+        "--horizon": (SNAPSHOT_BUDGET, dict(type=float, required=True, help="seconds")),
         "--warmup": (BEFORE_HORIZON, dict(type=float, default=None)),
         "--interval": (POSITIVE_FINITE, dict(type=float, default=None,
                                              help="snapshot interval in seconds")),
@@ -589,7 +625,7 @@ FLAGS = {
     "fixture": (cmd_fixture, "synthetic polling trace with ground truth", {
         "--config": (BUDGET, dict(required=True)), **COMMON,
         "--days": (AT_LEAST_1, dict(type=int, default=5)),
-        "--cadence": (POSITIVE_FINITE, dict(type=float, default=300.0)),
+        "--cadence": (POLL_BUDGET, dict(type=float, default=300.0)),
         "--closed-users": (AT_LEAST_0, dict(type=int, default=0)),
         "--bursty-cell": (A_CELL, dict(type=int, default=None)),
         "--burst-size": (AT_LEAST_1, dict(type=int, default=10)),

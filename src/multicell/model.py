@@ -17,7 +17,7 @@ Two session-law forms exist:
 * ``GenerativeSessionLaw`` -- a sampler producing a session duration T and
   per-stage dwell times tau_1..tau_N (possibly dependent through a shared
   speed multiplier). Holding times follow by clipping T against the dwells;
-  see :func:`stage_holding_time`.
+  see :func:`holding_matrix`.
 
 All types are immutable after construction; operations are pure functions.
 Time is in seconds throughout, rates per second.
@@ -130,7 +130,7 @@ class StageMoments(NamedTuple):
     mean_hold: tuple[float | None, ...]     # mean hold given j is reached
 
 
-def _pick(p: dict, rng: np.random.Generator, size: int | None):
+def _pick(p: dict, rng: np.random.Generator, size: int):
     return rng.choice(len(p["weights"]), size,
                       p=np.asarray(p["weights"]) / math.fsum(p["weights"]))
 
@@ -148,7 +148,7 @@ class _Family(NamedTuple):
 
     params: dict[str, str]   # name -> check of _KINDS it must pass; [kind]: a list of them
     mean: Callable[[dict], float]
-    draw: Callable[[dict, np.random.Generator, int | None], object]
+    draw: Callable[[dict, np.random.Generator, int], object]
     rule: Callable[[dict], str | None] = lambda p: None   # over checked parameters
 
 
@@ -157,7 +157,7 @@ _FAMILIES = {
                            lambda p, rng, size: rng.exponential(p["mean"], size)),
     "deterministic": _Family(
         {"value": "positive"}, lambda p: p["value"],
-        lambda p, rng, size: np.full(() if size is None else size, p["value"])),
+        lambda p, rng, size: np.full(size, p["value"])),
     "lognormal": _Family({"mu": "number", "sigma": "nonnegative"},
                          lambda p: math.exp(p["mu"] + 0.5 * p["sigma"] ** 2),
                          lambda p, rng, size: rng.lognormal(p["mu"], p["sigma"], size)),
@@ -216,10 +216,9 @@ class Dist:
     def mean(self) -> float:
         return self._family().mean(self.as_dict())
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """One draw as a float, or ``size`` draws as a float array."""
-        x = self._family().draw(self.as_dict(), rng, size)
-        return float(x) if size is None else np.asarray(x, dtype=float)
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws as a float array."""
+        return np.asarray(self._family().draw(self.as_dict(), rng, size), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -240,24 +239,19 @@ class GenerativeSessionLaw:
     def n_stages(self) -> int:
         return len(self.dwells)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw (T, taus), all values strictly positive.
-
-        One pair comes back as ``(float, tuple)``; ``size`` pairs as a
+    def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``size`` (T, taus) pairs, all values strictly positive: a
         ``(size,)`` duration array and a ``(size, N)`` dwell matrix. Draw
         order: every speed, then every duration, then the dwells stage by
         stage.
         """
-        n = 1 if size is None else size
-        s = self.speed.sample(rng, n) if self.speed is not None else np.ones(n)
+        s = self.speed.sample(rng, size) if self.speed is not None else np.ones(size)
         if not np.all(s > 0):
             raise ValueError(f"sampled non-positive speed multiplier {float(s.min())!r}")
-        T = self.duration.sample(rng, n) * (s if self.speed_scales_duration else 1.0)
-        taus = np.column_stack([s * d.sample(rng, n) for d in self.dwells])
+        T = self.duration.sample(rng, size) * (s if self.speed_scales_duration else 1.0)
+        taus = np.column_stack([s * d.sample(rng, size) for d in self.dwells])
         if not (np.all(T > 0) and np.all(taus > 0)):
             raise ValueError("sampled non-positive duration or dwell time")
-        if size is None:
-            return float(T[0]), tuple(taus[0].tolist())
         return T, taus
 
 
@@ -293,33 +287,15 @@ class NetworkSpec:
         return np.array([[c.x, c.y] for c in self.cell_meta])
 
 
-def stage_holding_time(T: float, taus, j: int) -> float | None:
-    """Channel holding time at stage j, or None if the stage is not reached.
-
-    Stage 1 always exists and holds min(T, tau_1). Stage j >= 2 exists only
-    when the session outlives the first j-1 dwells, and then holds
-    min(T - sum(tau_1..tau_{j-1}), tau_j).
-    """
-    taus = list(taus)
-    if j < 1:
-        raise ValueError(f"stage index {j} < 1")
-    if j > len(taus):
-        raise ValueError(f"stage index {j} exceeds {len(taus)} available dwell times")
-    if j == 1:
-        return min(T, taus[0])
-    spent = math.fsum(taus[: j - 1])
-    if T > spent:
-        return min(T - spent, taus[j - 1])
-    return None
-
-
 def holding_vector(T: float, taus) -> list[float]:
     """All realized holding times of one session, in stage order.
 
-    Unlike repeated :func:`stage_holding_time` calls, this applies a tiny
-    relative tolerance when testing whether the remaining duration reaches
-    the next stage, so a duration constructed as an exact multiple of the
-    dwells does not leak a spurious zero-length stage through float error.
+    Stage 1 holds min(T, tau_1); stage j >= 2 is reached when the session
+    outlives the first j-1 dwells, and then holds min(T - sum(tau_1..tau_{j-1}),
+    tau_j). A tiny relative tolerance applies when testing whether the
+    remaining duration reaches the next stage, so a duration constructed as
+    an exact multiple of the dwells does not leak a spurious zero-length
+    stage through float error.
     """
     out = []
     spent = 0.0

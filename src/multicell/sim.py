@@ -142,24 +142,31 @@ def session_table(spec: NetworkSpec, horizon: float, rng: np.random.Generator) -
     return SessionTable(*(np.concatenate(column) for column in zip(*blocks)))
 
 
+def mean_duration(law: SessionLaw) -> float:
+    """A session's mean time in the network. A generative law's duration
+    mean (times the speed mean when it scales the duration) stands in for
+    it, an upper proxy."""
+    if isinstance(law, DiscreteSessionLaw):
+        b = law.branches
+        return sum(p * w * sum(row) for p, w, row in
+                   zip(b.pk.tolist(), b.weight.tolist(), b.holds.tolist()))
+    dur = law.duration.mean()
+    if law.speed is not None and law.speed_scales_duration:
+        dur *= law.speed.mean()
+    return dur
+
+
 def suggested_timing(spec: NetworkSpec) -> tuple[float, float]:
-    """(warmup, snapshot_interval) defaults: 10x the longest route mean
-    duration and 5x the longest per-stage mean holding time. A generative
-    law's duration mean (times the speed mean when it scales the duration)
-    stands in for the mean time in the network, an upper proxy."""
+    """(warmup, snapshot_interval) defaults: 10x the longest route
+    :func:`mean_duration` and 5x the longest per-stage mean holding time."""
     max_dur = 0.0
     max_hold = 0.0
     for rs in spec.routes:
         law = rs.law
+        dur = mean_duration(law)
         if isinstance(law, DiscreteSessionLaw):
-            b = law.branches
-            dur = sum(p * w * sum(row) for p, w, row in
-                      zip(b.pk.tolist(), b.weight.tolist(), b.holds.tolist()))
             holds = [t for t in law.stage_moments().mean_hold if t is not None]
         else:
-            dur = law.duration.mean()
-            if law.speed is not None and law.speed_scales_duration:
-                dur *= law.speed.mean()
             holds = [min(dur, d.mean()) for d in law.dwells]
         max_dur = max(max_dur, dur)
         if holds:
@@ -167,7 +174,9 @@ def suggested_timing(spec: NetworkSpec) -> tuple[float, float]:
     return 10.0 * max_dur, 5.0 * max_hold
 
 
-def _resolved(spec: NetworkSpec, cfg: SimConfig) -> SimConfig:
+def resolve_timing(spec: NetworkSpec, cfg: SimConfig) -> SimConfig:
+    """``cfg`` with an absent warmup and snapshot interval taken from
+    :func:`suggested_timing`, the warmup capped at half the horizon."""
     if cfg.warmup is None or cfg.snapshot_interval is None:
         warmup, interval = suggested_timing(spec)
         cfg = replace(
@@ -185,7 +194,7 @@ def run(spec: NetworkSpec, cfg: SimConfig, *, replication: int = 0) -> list[Occu
     that time <= horizon. Sessions arriving during warmup are in the table
     too, so the first snapshot already sees in-flight sessions.
     """
-    cfg = _resolved(spec, cfg)
+    cfg = resolve_timing(spec, cfg)
     table = session_table(spec, cfg.horizon, rng_for_replication(cfg.seed, replication))
     times = cfg.warmup + cfg.snapshot_interval * np.arange(
         int((cfg.horizon - cfg.warmup) // cfg.snapshot_interval) + 2)

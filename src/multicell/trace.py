@@ -31,11 +31,9 @@ import csv
 import gzip
 import math
 import time
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import accumulate
 
 import numpy as np
 
@@ -62,8 +60,6 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 #: Timestamps of 0001-01-01 and 10000-01-01 UTC: the dates an ISO day can name.
 _TS_MIN, _TS_MAX = -62135596800.0, 253402300800.0
 _INT64_MAX = 2 ** 63 - 1
-#: Characters of poll text read per block.
-_BLOCK = 1 << 16
 
 
 class TraceInputError(ValueError):
@@ -163,32 +159,20 @@ def _group_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
 
 
-def _lines(fh, path):
-    """The file's lines, read in blocks of about ``_BLOCK`` characters. A
-    line holding a byte that is not UTF-8 raises ``TraceInputError`` naming
-    the line."""
-    line = 0
-    while True:
+def _undecodable_line(opener, path) -> str | None:
+    """Where the first byte of the file at ``path`` that is not UTF-8 sits;
+    None if a read fails before that line ends. Read as Latin-1, each byte
+    is one character, so the lines end where text mode ends them."""
+    with opener(path, "rt", encoding="latin-1") as fh:
         try:
-            lines = fh.readlines(_BLOCK)
-        except (OSError, EOFError, UnicodeDecodeError) as exc:
-            raise TraceInputError(
-                f"cannot read poll records from {path} after line {line}: {exc}") from exc
-        if not lines:
-            return
-        text = "".join(lines)
-        try:
-            text.encode()
-        except UnicodeEncodeError as exc:
-            # undecodable bytes arrive as the surrogates U+DC80..U+DCFF
-            bad = text[exc.start]
-            what = f"byte {ord(bad) - 0xDC00:#04x}" if "\udc80" <= bad <= "\udcff" else repr(bad)
-            raise TraceInputError(
-                f"cannot read poll records from {path}: line "
-                f"{line + bisect_right(list(accumulate(map(len, lines))), exc.start) + 1} "
-                f"holds {what}, which is not UTF-8") from None
-        yield from lines
-        line += len(lines)
+            for line, text in enumerate(fh, start=1):
+                try:
+                    text.encode("latin-1").decode()
+                except UnicodeDecodeError as exc:
+                    return (f": line {line} holds byte {exc.object[exc.start]:#04x}, "
+                            "which is not UTF-8")
+        except (OSError, EOFError):
+            return None
 
 
 def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
@@ -199,20 +183,20 @@ def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
     record is one CSV row, so after a quoted field that spans lines the
     record numbers run behind the line numbers. Files are UTF-8 with an
     optional byte-order mark, gzip-compressed by suffix. A file that cannot
-    be read as text raises ``TraceInputError`` naming the file and line.
+    be read as text raises ``TraceInputError`` naming the file and line. A
+    file object is read as its caller decoded it.
     """
-    close = False
+    opener = None
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         path = str(source)
-        fh = (gzip.open if path.endswith(".gz") else open)(
-            path, "rt", encoding="utf-8-sig", errors="surrogateescape")
-        close = True
+        opener = gzip.open if path.endswith(".gz") else open
+        fh = opener(path, "rt", encoding="utf-8-sig")
     else:
         path, fh = getattr(source, "name", "<stream>"), source
     times, aps, users, packet_counts, rejects = [], [], [], [], []
     ap_index: dict[str, int] = {}
     user_index: dict[str, int] = {}
-    reader = csv.reader(_lines(fh, path))
+    reader = csv.reader(fh)
     try:
         for record, row in enumerate(reader, start=1):
             if not row or (record == 1 and row[0].strip().lower() == "timestamp"):
@@ -241,12 +225,14 @@ def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
                 packet_counts.append(packets)
                 continue
             rejects.append((record, ",".join(row), why))
-    except csv.Error as exc:
-        raise TraceInputError(
-            f"cannot read poll records from {path} after line {reader.line_num}: {exc}"
-        ) from exc
+    except (OSError, EOFError, UnicodeDecodeError, csv.Error) as exc:
+        where = f" after line {reader.line_num}: {exc}"
+        if opener and isinstance(exc, UnicodeDecodeError):
+            # decoding reads ahead of the rows, so a second pass finds the line
+            where = _undecodable_line(opener, path) or where
+        raise TraceInputError(f"cannot read poll records from {path}{where}") from exc
     finally:
-        if close:
+        if opener:
             fh.close()
     return PollTable.from_codes(times, aps, ap_index, users, user_index, packet_counts), rejects
 

@@ -551,6 +551,10 @@ class TestFrontDoor:
         ("fixture", ["--seed", "-1"], "--seed"),
         ("fixture", ["--days", "abc"], "--days"),
         ("analyze", None, "--config"),
+        ("simulate", ["--horizon", "10", "--interval", "5e-324"], "--horizon"),
+        ("simulate", ["--horizon", "1e6", "--interval", "1e-4"], "--horizon"),
+        ("fixture", ["--cadence", "1e-300", "--days", "1"], "--cadence"),
+        ("fixture", ["--cadence", "1e-3", "--days", "1"], "--cadence"),
     ])
     def test_bad_flag_exit_1_before_writing(self, tmp_path, capsys, subcommand, extra, flag):
         one, two, snapshots = self._paths(tmp_path)
@@ -569,12 +573,14 @@ class TestFrontDoor:
 
     @pytest.mark.parametrize("subcommand, extra", [
         ("analyze", ["--seed", "0", "--discretize-samples", "1", "--bin-width", "5e-324"]),
-        ("simulate", ["--horizon", "10", "--warmup", "0", "--interval", "5e-324",
+        # the snapshot budget needs a short horizon for the shortest interval
+        ("simulate", ["--horizon", "1e-317", "--warmup", "0", "--interval", "5e-324",
                       "--replications", "1"]),
         ("simulate", ["--horizon", "5e-324"]),
         ("compare", ["--subset-size", "1", "--repeats", "1", "--distance-max", "5e-324"]),
         ("compare", ["--subset-size", "2"]),
-        ("fixture", ["--days", "1", "--cadence", "5e-324", "--closed-users", "0",
+        # the poll budget bounds --cadence from below
+        ("fixture", ["--days", "1", "--cadence", "0.01", "--closed-users", "0",
                      "--bursty-cell", "1", "--burst-size", "1", "--bursts-per-day", "0"]),
         ("fixture", ["--bursty-cell", "2"]),
         ("trace", ["--test-interval", "28800", "--cadence", "5e-324",
@@ -655,6 +661,45 @@ class TestFrontDoor:
         cli.check_arguments(parse([*argv, "100"]), spec)      # 100 expected stage visits
         with pytest.raises(cli.ValidationError, match="--config must be"):
             cli.check_arguments(parse([*argv, "100.5"]), spec)
+
+    @pytest.mark.parametrize("horizon, extra, snapshots", [
+        ("99", ["--warmup", "0", "--interval", "1"], 100),
+        ("49", ["--warmup", "0", "--interval", "1", "--replications", "2"], 100),
+        # default warmup min(10 * 2, horizon / 2) and interval 5 * 2
+        ("1010", [], 100),
+        ("100", ["--warmup", "0", "--interval", "1"], 101),
+        ("1020", [], 101),
+    ])
+    def test_snapshot_budget_bound_is_inclusive(self, tmp_path, monkeypatch, horizon, extra,
+                                                snapshots):
+        from multicell import sim
+        monkeypatch.setattr(sim, "STAGE_VISIT_CAP", 100)
+        args = cli.build_parser().parse_args(["simulate", "--config", "net.json", "--out",
+                                              str(tmp_path / "o"), "--horizon", horizon, *extra])
+        spec = single_cell_spec(rate=0.01, hold=2.0)
+        if snapshots <= 100:
+            cli.check_arguments(args, spec)
+        else:
+            with pytest.raises(cli.ValidationError, match="--horizon must be") as got:
+                cli.check_arguments(args, spec)
+            assert "--config" not in str(got.value)
+
+    def test_poll_budget_bound_is_inclusive(self, tmp_path, monkeypatch):
+        from multicell import sim
+        # per day: stage time 0.125 * 28800 * 256 over cadence 32, 3600 visits,
+        # 2 closed users * 900 epochs and 3 polls for each of 4 * 2.5 burst sessions
+        expected = 3 * (28800 + 3600 + 1800 + 30)
+        args = cli.build_parser().parse_args([
+            "fixture", "--config", "net.json", "--out", str(tmp_path / "o"), "--days", "3",
+            "--cadence", "32", "--closed-users", "2", "--bursty-cell", "1", "--burst-size", "4",
+            "--bursts-per-day", "2.5"])
+        spec = single_cell_spec(rate=0.125, hold=256.0)
+        monkeypatch.setattr(sim, "STAGE_VISIT_CAP", expected)
+        cli.check_arguments(args, spec)
+        monkeypatch.setattr(sim, "STAGE_VISIT_CAP", expected - 1)
+        with pytest.raises(cli.ValidationError, match="--cadence must be") as got:
+            cli.check_arguments(args, spec)
+        assert "--config" not in str(got.value)
 
     def test_unreachable_distance_max_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "net.json"

@@ -1,10 +1,10 @@
 import gzip
 import io
 import math
+import re
 import time
 from collections import Counter
 from datetime import datetime, timezone
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,7 +81,7 @@ class TestParsePolls:
         records, rejects = trace.parse_polls(path)
         assert rejects == [] and [r.ap for r in records] == ["AP1"]
 
-    @pytest.mark.parametrize("lines", [5, 9000])   # 9,000 lines span several blocks
+    @pytest.mark.parametrize("lines", [5, 9000])   # 9,000 lines span many decode chunks
     def test_undecodable_byte_names_its_line(self, tmp_path, lines):
         path = tmp_path / "polls.csv"
         rows = [b"timestamp,ap,user,packets"] + [b"%d,AP1,u1,5" % (100 + i)
@@ -89,6 +89,43 @@ class TestParsePolls:
         rows[-1] = b"100,AP\xff1,u1,5"
         path.write_bytes(b"\n".join(rows) + b"\n")
         with pytest.raises(trace.TraceInputError, match=f"line {lines} holds byte 0xff"):
+            trace.parse_polls(path)
+
+    @pytest.mark.parametrize("suffix,end,bom,line", [
+        (".csv", "\n", False, 5000),        # past the first decode chunk
+        (".csv.gz", "\n", False, 5000),
+        (".csv", "\r\n", False, 5000),
+        (".csv", "\r", False, 5000),       # lines end at a lone CR too
+        (".csv", "\n", True, 1),           # right after the byte-order mark
+        (".csv.gz", "\r\n", True, 1)])
+    def test_undecodable_byte_in_any_source(self, tmp_path, suffix, end, bom, line):
+        rows = [b"%d,AP1,u1,5" % (100 + i) for i in range(5100)]
+        rows[line - 1] = b"\x80" + rows[line - 1] if bom else rows[line - 1] + b"\xc3"
+        data = ("\ufeff" if bom else "").encode() + end.encode().join(rows) + end.encode()
+        path = tmp_path / f"polls{suffix}"
+        path.write_bytes(gzip.compress(data) if suffix.endswith(".gz") else data)
+        byte = "0x80" if bom else "0xc3"
+        with pytest.raises(trace.TraceInputError, match=f": line {line} holds byte {byte},"):
+            trace.parse_polls(path)
+
+    def test_truncated_gzip_names_the_lines_read(self, tmp_path):
+        path = tmp_path / "polls.csv.gz"
+        data = gzip.compress(b"".join(b"%d,AP1,u1,5\n" % (100 + i) for i in range(20000)))
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(trace.TraceInputError, match="Compressed file ended") as got:
+            trace.parse_polls(path)
+        lines = re.search(r"polls\.csv\.gz after line (\d+): ", str(got.value))
+        assert lines and 0 < int(lines.group(1)) < 20000
+
+    def test_truncated_gzip_with_a_bad_byte_in_its_cut_line(self, tmp_path):
+        # the second pass cannot reach the end of that line, so the
+        # decoder's own message is given
+        path = tmp_path / "polls.csv.gz"
+        data = gzip.compress(b"".join(b"%d,AP1,u1,5\n" % (100 + i) for i in range(3000))
+                             + b"999,AP\xff" + b"x" * 100000)
+        path.write_bytes(data[:-20])
+        with pytest.raises(trace.TraceInputError,
+                           match=r"after line \d+: 'utf-8' codec can't decode byte 0xff"):
             trace.parse_polls(path)
 
     def test_records_are_numbered_as_csv_rows(self):
@@ -166,9 +203,8 @@ def assert_parses_as_reference(source, reference_source):
 
 class TestParserAgainstReference:
     @settings(max_examples=200, deadline=None)
-    @given(poll_texts(), st.sampled_from(["stream", "raw stream", "file", "gzip"]),
-           st.sampled_from([1, 16, 64, trace._BLOCK]))
-    def test_equals_row_reader(self, tmp_path_factory, text, source, block):
+    @given(poll_texts(), st.sampled_from(["stream", "raw stream", "file", "gzip"]))
+    def test_equals_row_reader(self, tmp_path_factory, text, source):
         if source == "stream":
             sources = io.StringIO(text), io.StringIO(text)
         elif source == "raw stream":   # as the csv docs advise: lines also end at a lone CR
@@ -180,15 +216,13 @@ class TestParserAgainstReference:
             path.write_bytes(gzip.compress(data) if source == "gzip" else data)
             sources = path, (gzip.open if source == "gzip" else open)(path, "rt",
                                                                       encoding="utf-8")
-        with mock.patch.object(trace, "_BLOCK", block):
-            assert_parses_as_reference(*sources)
+        assert_parses_as_reference(*sources)
         if "stream" not in source:
             sources[1].close()
 
     def test_long_file_equals_row_reader(self):
-        # 15,000 records in blocks of 64 KiB: quoted records spanning two
-        # lines, two of them across block ends, short rows, and packets
-        # beyond int64
+        # 15,000 records: quoted records spanning two lines, short rows,
+        # and packets beyond int64
         lines = ["timestamp,ap,user,packets\n"]
         for i in range(15000):
             t = 1073293200 + i
@@ -199,9 +233,6 @@ class TestParserAgainstReference:
             else:
                 lines.append(f"{t},AP{i % 5},u{i % 13},{2 ** 63 if i == 5000 else i % 9}\n")
         text = "".join(lines)
-        fh = io.StringIO(text)
-        block_ends = [block[-1] for block in iter(lambda: fh.readlines(trace._BLOCK), [])]
-        assert len(block_ends) == 5 and sum(end.count('"') % 2 for end in block_ends) == 2
         assert_parses_as_reference(io.StringIO(text), io.StringIO(text))
 
 
