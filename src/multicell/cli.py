@@ -137,13 +137,12 @@ def cmd_simulate(args, spec: model.NetworkSpec, out: Path) -> None:
                         replications=args.replications)
     pooled = []
     for r in range(cfg.replications):
-        snaps = sim.run(spec, cfg, replication=r)
-        sim.write_snapshots_csv(snaps, out / f"snapshots_rep{r}.csv")
-        pooled.extend(snaps)
+        pooled.append(sim.run(spec, cfg, replication=r))
+        sim.write_snapshots_csv(pooled[-1], out / f"snapshots_rep{r}.csv")
+    pooled = np.concatenate(pooled)     # frees the per-replication arrays
     sim.write_snapshots_csv(pooled, out / "snapshots.csv")
 
-    counts = np.array([s.cell_counts for s in pooled], dtype=float)
-    emp_mean = counts.mean(axis=0)
+    emp_mean = pooled["cell_counts"].astype(float).mean(axis=0)
     all_discrete = all(isinstance(rs.law, model.DiscreteSessionLaw) for rs in spec.routes)
     analytic_means = analytic.cell_means(spec).poisson_mean if all_discrete else None
     rows = []
@@ -393,15 +392,11 @@ def generate_fixture(spec: model.NetworkSpec, seed: int, days: int, cadence: flo
     return polls, truth
 
 
-#: Rows joined per write by ``write_polls_csv``, so that the text of only
-#: one block is held at a time.
-POLL_BLOCK_ROWS = 8192
-
-
 def write_polls_csv(polls: PollTable, path) -> None:
     """``timestamp,ap,user,packets`` rows in (timestamp, ap, user) order, as
     ``csv.writer`` writes them. Each distinct field value is formatted once,
-    and rows are joined and written ``POLL_BLOCK_ROWS`` at a time."""
+    and rows are joined and written ``sim.CSV_BLOCK_ROWS`` at a time."""
+    from . import sim
     from .polls import csv_fields, distinct
 
     order = np.lexsort((polls.user, polls.ap, polls.t))
@@ -418,8 +413,8 @@ def write_polls_csv(polls: PollTable, path) -> None:
                 np.searchsorted(values, packets)))
     with open(path, "w", newline="") as fh:
         fh.write("timestamp,ap,user,packets\r\n")
-        for i in range(0, len(order), POLL_BLOCK_ROWS):
-            block = slice(i, i + POLL_BLOCK_ROWS)
+        for i in range(0, len(order), sim.CSV_BLOCK_ROWS):
+            block = slice(i, i + sim.CSV_BLOCK_ROWS)
             fh.write("\r\n".join(map(",".join, zip(*(text[code[block]].tolist()
                                                      for text, code in columns)))))
             fh.write("\r\n")

@@ -34,6 +34,10 @@ from .model import DiscreteSessionLaw, NetworkSpec, SessionLaw, sample_sessions
 #: few array entries, so the cap bounds memory.
 STAGE_VISIT_CAP = 25_000_000
 
+#: Rows joined per write by the CSV writers of snapshots and polls, so that
+#: the text of only one block is held at a time.
+CSV_BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -50,12 +54,6 @@ class SimConfig:
             raise ValueError("snapshot_interval must be > 0")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-
-
-@dataclass(frozen=True)
-class OccupancySnapshot:
-    time: float
-    cell_counts: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +185,9 @@ def resolve_timing(spec: NetworkSpec, cfg: SimConfig) -> SimConfig:
     return cfg
 
 
-def run(spec: NetworkSpec, cfg: SimConfig, *, replication: int = 0) -> list[OccupancySnapshot]:
-    """Simulate one replication and return its occupancy snapshots.
+def run(spec: NetworkSpec, cfg: SimConfig, *, replication: int = 0) -> np.recarray:
+    """Simulate one replication: its occupancy snapshots as one record array
+    of ``time`` (float64) and ``cell_counts`` (int64, one per cell) rows.
 
     Snapshots are taken at warmup + i * snapshot_interval for every i with
     that time <= horizon. Sessions arriving during warmup are in the table
@@ -202,7 +201,8 @@ def run(spec: NetworkSpec, cfg: SimConfig, *, replication: int = 0) -> list[Occu
 
     _, cells, entries, exits = table.visits([rs.route.cells for rs in spec.routes])
     counts = interval_counts(cells - 1, entries, exits, spec.cell_count, times)
-    return [OccupancySnapshot(t, tuple(row)) for t, row in zip(times.tolist(), counts.tolist())]
+    return np.rec.fromarrays([times, counts], dtype=[
+        ("time", np.float64), ("cell_counts", np.int64, (spec.cell_count,))])
 
 
 def emit_event_log(spec: NetworkSpec, cfg: SimConfig, *, replication: int = 0
@@ -216,10 +216,15 @@ def emit_event_log(spec: NetworkSpec, cfg: SimConfig, *, replication: int = 0
 
 
 def write_snapshots_csv(snapshots, path) -> None:
-    import csv
+    """``time,y1,...,yC`` rows, as ``csv.writer`` writes each time's ``repr``
+    and each count, joined and written ``CSV_BLOCK_ROWS`` at a time.
+    ``snapshots`` is :func:`run`'s record array or a sequence of its rows."""
+    # given the row dtype, numpy converts a list of rows about 25x faster
+    snapshots = np.asarray(snapshots, dtype=snapshots[0].dtype)
+    times, counts = snapshots["time"], snapshots["cell_counts"]
+    row = "{!r}" + ",{}" * counts.shape[1] + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        C = len(snapshots[0].cell_counts) if snapshots else 0
-        w.writerow(["time"] + [f"y{n}" for n in range(1, C + 1)])
-        for s in snapshots:
-            w.writerow([repr(s.time)] + list(s.cell_counts))
+        fh.write(",".join(["time"] + [f"y{n}" for n in range(1, counts.shape[1] + 1)]) + "\r\n")
+        for i in range(0, len(times), CSV_BLOCK_ROWS):
+            block = slice(i, i + CSV_BLOCK_ROWS)
+            fh.write("".join(map(row.format, times[block].tolist(), *counts[block].T.tolist())))

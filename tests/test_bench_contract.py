@@ -6,6 +6,7 @@ there breaks only a ``--trace 1`` benchmark run; these checks catch it in
 the ordinary test run.
 """
 
+import numpy as np
 import pytest
 
 from multicell import analytic, cli, model, sim, stats, trace
@@ -89,3 +90,23 @@ def test_stage_means_calls_the_module_decoupled_means(monkeypatch):
     spec = single_cell_spec(2.0, 3.0)
     analytic.cell_means(spec)
     assert calls == [spec.routes[0]]
+
+
+def test_replay_pools_the_rows_of_run(tmp_path):
+    # the replay extends a list with each replication's rows, reads
+    # s.cell_counts off every row and writes the list as snapshots.csv
+    law = model.DiscreteSessionLaw((0.5, 0.5), (((1.0, (4.0,)),), ((1.0, (3.0, 6.0)),)))
+    spec = model.NetworkSpec(2, (model.RouteSpec(model.Route((1, 2)), 0.8, law),))
+    cfg = sim.SimConfig(horizon=400.0, warmup=10.0, snapshot_interval=3.0, seed=4,
+                        replications=2)
+    reps = [sim.run(spec, cfg, replication=r) for r in range(cfg.replications)]
+    rows = []
+    for snaps in reps:
+        rows.extend(snaps)
+    pooled = np.concatenate(reps)
+    assert len(rows) == len(pooled) == sum(map(len, reps))
+    assert np.array_equal(np.array([s.cell_counts for s in rows], dtype=float),
+                          pooled["cell_counts"])
+    sim.write_snapshots_csv(rows, tmp_path / "rows.csv")
+    sim.write_snapshots_csv(pooled, tmp_path / "pooled.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()

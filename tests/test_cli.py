@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixture_reference
-from multicell import cli, model
+from multicell import cli, model, sim
 from multicell.polls import PollRecord, PollTable
 from conftest import run_fresh, single_cell_spec
 
@@ -712,6 +712,8 @@ class TestFrontDoor:
                          "--distance-max", "10", "--repeats", "1"]) == 1
         err = capsys.readouterr().err
         assert "--distance-max 10.0" in err and "no 2-cell subset" in err
+        # the subset sampler runs after the manifest is written
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json"]
 
     def test_runtime_error_without_message_names_its_type(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -839,16 +841,16 @@ class TestPollWriterAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(records=st.lists(st.builds(PollRecord, POLL_TIMES, POLL_NAMES, POLL_NAMES,
                                       POLL_PACKETS), max_size=30),
-           block=st.sampled_from([1, 7, cli.POLL_BLOCK_ROWS]), repeat=st.integers(1, 3))
+           block=st.sampled_from([1, 7, sim.CSV_BLOCK_ROWS]), repeat=st.integers(1, 3))
     def test_equals_csv_writer(self, tmp_path_factory, records, block, repeat):
         polls = PollTable.from_records(records * repeat)   # repeated rows tie in the sort
         out = tmp_path_factory.mktemp("polls")
-        with mock.patch.object(cli, "POLL_BLOCK_ROWS", block):
+        with mock.patch.object(sim, "CSV_BLOCK_ROWS", block):
             cli.write_polls_csv(polls, out / "polls.csv")
         _reference_polls_csv(polls, out / "ref.csv")
         assert (out / "polls.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
-    @pytest.mark.parametrize("rows", [0, 1, cli.POLL_BLOCK_ROWS, 2 * cli.POLL_BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("rows", [0, 1, sim.CSV_BLOCK_ROWS, 2 * sim.CSV_BLOCK_ROWS + 5])
     def test_equals_csv_writer_across_blocks(self, tmp_path, rows):
         names = ["AP 1", "ap,2", 'a"p', "é\n€"]
         polls = PollTable.from_records([

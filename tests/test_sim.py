@@ -1,7 +1,10 @@
+import csv
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from multicell import analytic, model, sim, stats
 from conftest import single_cell_spec
@@ -16,6 +19,12 @@ def exp_exp_route(cells, rate, duration_mean, dwell_mean):
                      for _ in cells),
     )
     return model.RouteSpec(model.Route(tuple(cells)), rate, law)
+
+
+def same_snapshots(a, b) -> bool:
+    """Snapshot arrays with the same fields, times and counts."""
+    return (a.dtype == b.dtype and np.array_equal(a["time"], b["time"])
+            and np.array_equal(a["cell_counts"], b["cell_counts"]))
 
 
 class TestSampleSession:
@@ -74,12 +83,12 @@ class TestRun:
         spec = single_cell_spec(rate=1e-12, hold=3.0)
         cfg = sim.SimConfig(horizon=1e3, warmup=0.0, snapshot_interval=10.0, seed=1)
         snaps = sim.run(spec, cfg)
-        assert snaps and all(s.cell_counts == (0,) for s in snaps)
+        assert len(snaps) and np.array_equal(snaps.cell_counts, np.zeros((len(snaps), 1)))
 
     def test_same_seed_identical(self):
         spec = single_cell_spec(rate=1.0, hold=2.0)
         cfg = sim.SimConfig(horizon=500.0, warmup=10.0, snapshot_interval=5.0, seed=9)
-        assert sim.run(spec, cfg) == sim.run(spec, cfg)
+        assert same_snapshots(sim.run(spec, cfg), sim.run(spec, cfg))
 
     def test_snapshot_bytes_identical(self, tmp_path):
         spec = single_cell_spec(rate=1.0, hold=2.0)
@@ -109,16 +118,16 @@ class TestRun:
             table = sim.session_table(spec, cfg.horizon, sim.rng_for_replication(cfg.seed, r))
             snaps = sim.run(spec, cfg, replication=r)
             assert len(table.arrival) > 500
-            for s in snaps:
+            for time, counts in zip(snaps.time.tolist(), snaps.cell_counts.tolist()):
                 brute = [0, 0, 0]
                 for l, t, k, holds in zip(table.route, table.arrival, table.stages,
                                           table.holds):
                     for j in range(k):
                         exit_ = t + holds[j]
-                        if t <= s.time < exit_:
+                        if t <= time < exit_:
                             brute[spec.routes[l - 1].route.cells[j] - 1] += 1
                         t = exit_
-                assert s.cell_counts == tuple(brute), s.time
+                assert counts == brute, time
 
     def test_default_timing_from_spec(self):
         spec = single_cell_spec(rate=1.0, hold=3.0)
@@ -128,10 +137,45 @@ class TestRun:
         assert snaps[1].time - snaps[0].time == pytest.approx(15.0)
 
 
+def _reference_snapshots_csv(snapshots, path) -> None:
+    """The row-by-row ``csv.writer`` loop that ``write_snapshots_csv`` replaced."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        C = snapshots["cell_counts"].shape[1]
+        w.writerow(["time"] + [f"y{n}" for n in range(1, C + 1)])
+        for t, row in zip(snapshots["time"].tolist(), snapshots["cell_counts"].tolist()):
+            w.writerow([repr(t)] + list(row))
+
+
+SNAPSHOT_TIMES = st.one_of(st.sampled_from([0.0, 5e-324, 1e16]),
+                           st.floats(min_value=0.0, allow_infinity=False))
+SNAPSHOT_COUNTS = st.integers(0, 2 ** 63 - 1)
+#: (times, counts) of 1 row, one writer block or one block + 1, 1 to 20 cells
+SNAPSHOT_COLUMNS = st.tuples(
+    st.sampled_from([1, sim.CSV_BLOCK_ROWS, sim.CSV_BLOCK_ROWS + 1]), st.integers(1, 20),
+).flatmap(lambda shape: st.tuples(hnp.arrays(np.float64, shape[0], elements=SNAPSHOT_TIMES),
+                                  hnp.arrays(np.int64, shape, elements=SNAPSHOT_COUNTS)))
+
+
+class TestSnapshotWriterAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(columns=SNAPSHOT_COLUMNS)
+    @example(columns=(np.array([0.0, 5e-324, 1e16, 0.1, 2.5]),
+                      np.array([[0, 1], [1, 9], [2 ** 63 - 1, 0], [7, 2 ** 62], [10, 11]])))
+    def test_equals_csv_writer(self, tmp_path_factory, columns):
+        times, counts = columns
+        snaps = np.rec.fromarrays([times, counts], dtype=[
+            ("time", np.float64), ("cell_counts", np.int64, (counts.shape[1],))])
+        out = tmp_path_factory.mktemp("snapshots")
+        sim.write_snapshots_csv(snaps, out / "snapshots.csv")
+        _reference_snapshots_csv(snaps, out / "ref.csv")
+        assert (out / "snapshots.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
 def replicate(spec, cfg):
-    """Per-replication snapshot lists and their pool, as ``simulate`` builds them."""
+    """Per-replication snapshot arrays and their pool, as ``simulate`` builds them."""
     reps = [sim.run(spec, cfg, replication=r) for r in range(cfg.replications)]
-    return reps, [s for snaps in reps for s in snaps]
+    return reps, np.concatenate(reps)
 
 
 class TestReplications:
@@ -140,7 +184,7 @@ class TestReplications:
         cfg = sim.SimConfig(horizon=500.0, warmup=10.0, snapshot_interval=5.0,
                             seed=7, replications=1)
         reps, pooled = replicate(spec, cfg)
-        assert pooled == sim.run(spec, cfg)
+        assert same_snapshots(pooled, sim.run(spec, cfg))
         assert len(reps) == 1
 
     def test_four_replications_pool(self):
@@ -152,9 +196,9 @@ class TestReplications:
         _, pooled = replicate(spec, cfg4)
         _, single = replicate(spec, cfg1)
         assert len(pooled) == 4 * len(single)
-        assert pooled[: len(single)] == single   # replication 0 shares its stream
+        assert same_snapshots(pooled[: len(single)], single)   # replication 0 shares its stream
         # streams must differ
-        assert pooled[len(single): 2 * len(single)] != single
+        assert not same_snapshots(pooled[len(single): 2 * len(single)], single)
 
     def test_replication_means_agree(self):
         spec = single_cell_spec(rate=2.0, hold=3.0)   # m = 6
