@@ -200,6 +200,13 @@ def cell_product_form(spec: NetworkSpec) -> ProductForm:
     return ProductForm(cm.poisson_mean, labels)
 
 
+def truncation_scan(mean: float) -> float:
+    """The length of the range :func:`poisson_truncation` scans for
+    ``mean``, in O(1). ``poisson_truncation(mean)`` is at most this length,
+    so a cell's ``cell_pmf.csv`` rows are at most one more."""
+    return mean + 12.0 * math.sqrt(mean) + 40.0 if mean > 0 else 0.0
+
+
 def poisson_truncation(mean: float, tail: float = 1e-8) -> int:
     """Smallest K with Poisson(mean) CDF(K) >= 1 - tail.
 
@@ -208,7 +215,7 @@ def poisson_truncation(mean: float, tail: float = 1e-8) -> int:
     """
     if mean <= 0:
         return 0
-    ys = range(int(mean + 12.0 * math.sqrt(mean) + 40.0))
+    ys = range(int(truncation_scan(mean)))
     logpmf = np.array([poisson_logpmf(mean, y) for y in ys])
     return int(np.searchsorted(np.cumsum(np.exp(logpmf)), 1.0 - tail))
 

@@ -109,10 +109,18 @@ def cmd_analyze(args, spec: model.NetworkSpec, out: Path) -> None:
                      for j in range(1, rs.route.n_stages + 1) if j not in sm.stages]
         rows += [[l, j, rs.route.cells[j - 1], repr(wp), repr(tb), repr(wj)]
                  for j, wp, tb, wj in zip(sm.stages, sm.w_prime, sm.t_bar, sm.w)]
+    cm = analytic.cell_means(spec)
+    # the pmf rows are bounded before any is computed: a huge mean would
+    # otherwise scan for minutes, or past memory
+    scans = [analytic.truncation_scan(m) + 1 for m in cm.poisson_mean]
+    if (total := math.fsum(scans)) > model.STAGE_VISIT_CAP:
+        n = max(range(len(scans)), key=scans.__getitem__)
+        raise ValidationError(
+            f"cell {n + 1} has Poisson mean {cm.poisson_mean[n]!r}: cell_pmf.csv could take "
+            f"{total:.4g} rows, more than sim.STAGE_VISIT_CAP ({model.STAGE_VISIT_CAP})")
+
     _write_csv(out / "stage_means.csv", ["route", "stage", "cell", "invariant_measure",
                                          "hold_mean", "occupancy_mean"], rows)
-
-    cm = analytic.cell_means(spec)
     analytic.write_cell_means_csv(cm, out / "cell_means.csv")
 
     _write_csv(out / "cell_pmf.csv", ["cell", "count", "probability"],
@@ -396,8 +404,7 @@ def write_polls_csv(polls: PollTable, path) -> None:
     """``timestamp,ap,user,packets`` rows in (timestamp, ap, user) order, as
     ``csv.writer`` writes them. Each distinct field value is formatted once,
     and rows are joined and written ``sim.CSV_BLOCK_ROWS`` at a time."""
-    from . import sim
-    from .polls import csv_fields, distinct
+    from .polls import csv_fields, distinct, write_coded_csv
 
     order = np.lexsort((polls.user, polls.ap, polls.t))
     t = polls.t[order]
@@ -406,18 +413,12 @@ def write_polls_csv(polls: PollTable, path) -> None:
     new[1:] = bits[1:] != bits[:-1]      # so that -0.0 keeps its sign
     packets = polls.packets[order]
     values = distinct(packets)
-    columns = ((np.array(list(map(repr, t[new].tolist())), dtype=object), np.cumsum(new) - 1),
-               (np.array(csv_fields(polls.aps), dtype=object), polls.ap[order]),
-               (np.array(csv_fields(polls.users), dtype=object), polls.user[order]),
-               (np.array(list(map(str, values.tolist())), dtype=object),
-                np.searchsorted(values, packets)))
-    with open(path, "w", newline="") as fh:
-        fh.write("timestamp,ap,user,packets\r\n")
-        for i in range(0, len(order), sim.CSV_BLOCK_ROWS):
-            block = slice(i, i + sim.CSV_BLOCK_ROWS)
-            fh.write("\r\n".join(map(",".join, zip(*(text[code[block]].tolist()
-                                                     for text, code in columns)))))
-            fh.write("\r\n")
+    write_coded_csv(path, "timestamp,ap,user,packets", (
+        (np.array(list(map(repr, t[new].tolist())), dtype=object), np.cumsum(new) - 1),
+        (np.array(csv_fields(polls.aps), dtype=object), polls.ap[order]),
+        (np.array(csv_fields(polls.users), dtype=object), polls.user[order]),
+        (np.array(list(map(str, values.tolist())), dtype=object),
+         np.searchsorted(values, packets))))
 
 
 def cmd_fixture(args, spec: model.NetworkSpec, out: Path) -> None:
@@ -450,25 +451,36 @@ def cmd_trace(args, spec: None, out: Path) -> None:
                                   poll_cadence=args.cadence)
     try:
         start = time.perf_counter()
-        records, rejects = trace.parse_polls(args.polls)
-        parsed_s = time.perf_counter() - start
-        if not records:
+        polls, rejects = trace.parse_polls(args.polls)
+        parsed = len(polls)
+        parse = {"rows_in": parsed + len(rejects), "rows_out": parsed,
+                 "rejected": len(rejects), "wall_s": time.perf_counter() - start}
+        if not parsed:
             raise ValidationError(f"no usable poll records in {args.polls}")
-        result = trace.run_pipeline(records, pcfg, rejects=rejects,
+        # handed over with no name left on it, so that run_pipeline can free
+        # the parsed table once a step replaces it
+        polls = [polls]
+        result = trace.run_pipeline(polls.pop(), pcfg, rejects=rejects,
                                     interval=args.test_interval,
                                     eta_threshold=args.threshold_eta,
                                     theta_threshold=args.threshold_theta)
     except trace.TraceInputError as exc:
         raise ValidationError(f"{args.polls}: {exc}") from exc
-    _write_json(out / "run.json", {"parse_polls": {"rows_in": len(records) + len(rejects),
-                                                   "rows_out": len(records),
-                                                   "rejected": len(rejects),
-                                                   "wall_s": parsed_s},
-                                   **result.counts})
+    _write_json(out / "run.json", {"parse_polls": parse, **result.counts})
 
     sessions, excluded = trace.exclusion_modes(
         result.sessions, result.invalid_aps, args.exclude_mode,
         exclude_one_stage=args.exclude_one_stage)
+    aps = sorted(set(result.estimates) - excluded)
+    if not aps:
+        raise ValidationError(f"{args.polls}: need at least one AP to compare: --exclude-mode 2 "
+                              f"excluded all {len(result.estimates)} APs with estimates "
+                              "as invalid")
+    if not len(sessions):     # only mode 1 and --exclude-one-stage drop sessions
+        why = ["starting at an invalid AP (--exclude-mode 1)"] * (args.exclude_mode == 1)
+        why += ["of one stage (--exclude-one-stage)"] * args.exclude_one_stage
+        raise ValidationError(f"{args.polls}: need at least one session: the exclusion dropped "
+                              f"all {len(result.sessions)} sessions as " + " or ".join(why))
 
     trace.write_sessions_csv(sessions, out / "sessions.csv")
     trace.write_estimates_csv(result.estimates, out / "ap_params.csv")
@@ -482,7 +494,6 @@ def cmd_trace(args, spec: None, out: Path) -> None:
                  v.poisson.passed, v.valid] for ap, v in sorted(result.validity.items())))
 
     # empirical occupancy at the observed poll epochs vs fitted product form
-    aps = sorted(set(result.estimates) - excluded)
     occupancy = trace.occupancy_snapshots(sessions, aps, result.epochs)
     form = analytic.ProductForm(
         tuple(result.estimates[ap].poisson_mean for ap in aps), tuple(aps))

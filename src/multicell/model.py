@@ -37,6 +37,12 @@ import numpy as np
 
 _PROB_TOL = 1e-9
 
+#: Safety cap on the stage visits of one replication, and on every size a
+#: config asks for: its cells, and the cell counts, polls and
+#: ``cell_pmf.csv`` rows made from it. Each costs a few array entries or an
+#: output line, so the cap bounds memory and time.
+STAGE_VISIT_CAP = 25_000_000
+
 #: Relative slack when deciding whether a session's remaining duration
 #: reaches the next stage. Guards against float cancellation when T is
 #: constructed as an exact multiple of the dwell times.
@@ -568,6 +574,8 @@ def _read_spec(d) -> tuple[NetworkSpec | None, list[str]]:
     count = get(d, "", "cells", "integer")
     if count is not None and count < 1:
         bad("cells", f"{count} < 1")
+    elif count is not None and count > STAGE_VISIT_CAP:
+        bad("cells", f"{count} > STAGE_VISIT_CAP ({STAGE_VISIT_CAP})")
     meta = get(d, "", "cell_meta", "list", default=())
     if meta and count is not None and len(meta) != count:
         bad("cell_meta", f"{len(meta)} entries for {count} cells")

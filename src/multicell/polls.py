@@ -1,5 +1,6 @@
 """Poll records as one columnar table, the trace settings, and the CSV
-field formatting shared by the ``fixture`` and ``trace`` writers.
+field formatting and block writing shared by the ``fixture`` and ``trace``
+writers.
 
 ``fixture`` builds a ``PollTable`` inside the working window of a
 ``PreprocessConfig``, and ``trace`` reads one through the pipeline in
@@ -15,6 +16,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+
+from .sim import CSV_BLOCK_ROWS
 
 
 @dataclass(frozen=True, order=True)
@@ -122,3 +125,19 @@ def csv_fields(names) -> list[str]:
     # writerow returns what the file's write returns, and str(row) is row
     row = csv.writer(SimpleNamespace(write=str)).writerow
     return [row((name, ""))[:-3] for name in names]   # less ",\r\n"
+
+
+def write_coded_csv(path, header: str, columns) -> None:
+    """Write ``header`` and one row per position of the code arrays. Each
+    column is (texts, codes): an object array of formatted fields and, per
+    row, the index of its field. Rows end in CRLF, as ``csv.writer`` ends
+    them, and are joined and written ``sim.CSV_BLOCK_ROWS`` at a time,
+    so that the text of one block is held at a time."""
+    rows = len(columns[0][1])
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for i in range(0, rows, CSV_BLOCK_ROWS):
+            block = slice(i, i + CSV_BLOCK_ROWS)
+            fh.write("\r\n".join(map(",".join, zip(*(text[code[block]].tolist()
+                                                     for text, code in columns)))))
+            fh.write("\r\n")

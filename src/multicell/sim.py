@@ -28,11 +28,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import DiscreteSessionLaw, NetworkSpec, SessionLaw, sample_sessions
-
-#: Safety cap on the stage visits of one replication; each visit costs a
-#: few array entries, so the cap bounds memory.
-STAGE_VISIT_CAP = 25_000_000
+# STAGE_VISIT_CAP lives in model, whose config reader checks the cell count
+# against it; the CLI, its rules and README name it sim.STAGE_VISIT_CAP
+from .model import STAGE_VISIT_CAP, DiscreteSessionLaw, NetworkSpec, SessionLaw, sample_sessions
 
 #: Rows joined per write by the CSV writers of snapshots and polls, so that
 #: the text of only one block is held at a time.

@@ -31,6 +31,7 @@ import csv
 import gzip
 import math
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
@@ -38,7 +39,7 @@ from datetime import date
 import numpy as np
 
 # PollRecord is here for callers: the rows a PollTable yields
-from .polls import PollRecord, PollTable, PreprocessConfig, csv_fields, distinct
+from .polls import PollRecord, PollTable, PreprocessConfig, csv_fields, distinct, write_coded_csv
 from .sim import interval_counts
 from .stats import TestReport, independence_test, poisson_dist_test
 
@@ -184,7 +185,9 @@ def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
     record numbers run behind the line numbers. Files are UTF-8 with an
     optional byte-order mark, gzip-compressed by suffix. A file that cannot
     be read as text raises ``TraceInputError`` naming the file and line. A
-    file object is read as its caller decoded it.
+    file object is read as its caller decoded it. The fields are gathered
+    in typed buffers, 8 bytes each, that become the table's columns
+    without a copy.
     """
     opener = None
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -193,7 +196,8 @@ def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
         fh = opener(path, "rt", encoding="utf-8-sig")
     else:
         path, fh = getattr(source, "name", "<stream>"), source
-    times, aps, users, packet_counts, rejects = [], [], [], [], []
+    times, aps, users, packet_counts = array("d"), array("q"), array("q"), array("q")
+    rejects = []
     ap_index: dict[str, int] = {}
     user_index: dict[str, int] = {}
     reader = csv.reader(fh)
@@ -234,7 +238,9 @@ def parse_polls(source) -> tuple[PollTable, list[tuple[int, str, str]]]:
     finally:
         if opener:
             fh.close()
-    return PollTable.from_codes(times, aps, ap_index, users, user_index, packet_counts), rejects
+    return PollTable.from_codes(np.frombuffer(times), np.frombuffer(aps, dtype=np.int64),
+                                ap_index, np.frombuffer(users, dtype=np.int64), user_index,
+                                np.frombuffer(packet_counts, dtype=np.int64)), rejects
 
 
 def infer_cadence(table: PollTable) -> float:
@@ -259,14 +265,15 @@ def _excluded(cfg: PreprocessConfig, day: str) -> bool:
 
 def filter_window(table: PollTable, cfg: PreprocessConfig) -> PollTable:
     """Keep records inside the working window (start inclusive, end
-    exclusive), on configured weekdays, outside excluded date ranges."""
+    exclusive), on configured weekdays, outside excluded date ranges.
+    Returns ``table`` itself when it keeps every record."""
     day, second = _utc_days(table.t)
     keep = (np.isin((day + 3) % 7, cfg.weekdays)
             & (cfg.work_start <= second) & (second < cfg.work_end))
     if cfg.excluded_date_ranges:
         excluded = [d for d in distinct(day[keep]).tolist() if _excluded(cfg, _iso(d))]
         keep &= ~np.isin(day, excluded)
-    return table.take(keep)
+    return table if keep.all() else table.take(keep)
 
 
 def filter_invalid_days(table: PollTable, cfg: PreprocessConfig, cadence: float
@@ -278,7 +285,8 @@ def filter_invalid_days(table: PollTable, cfg: PreprocessConfig, cadence: float
     (each poll is one user-attachment sample). The average is over days
     with nonzero service, computed before any removal (single pass).
     ``removed`` lists each AP's dropped ISO days, APs in the order of their
-    first poll.
+    first poll. The table returned is ``table`` itself when no day is
+    dropped.
     """
     day, _ = _utc_days(table.t)
     pair_ap, pair_day, inverse, polls = _day_pairs(table.ap, day)
@@ -293,7 +301,7 @@ def filter_invalid_days(table: PollTable, cfg: PreprocessConfig, cadence: float
         np.minimum.at(first_poll, table.ap, table.t)
         for ap in sorted(set(pair_ap[bad].tolist()), key=lambda a: (first_poll[a], a)):
             removed[table.aps[ap]] = [_iso(d) for d in pair_day[bad & (pair_ap == ap)].tolist()]
-    return table.take(~bad[inverse]), removed
+    return (table.take(~bad[inverse]) if removed else table), removed
 
 
 def _fill_times(after: np.ndarray, before: np.ndarray, cadence: float
@@ -496,8 +504,8 @@ def classify_open_closed(table: PollTable, cfg: PreprocessConfig, cadence: float
 
 
 def _select_users(table: PollTable, users) -> PollTable:
-    keep = np.array([u in users for u in table.users], dtype=bool)
-    return table.take(keep[table.user])
+    keep = np.array([u in users for u in table.users], dtype=bool)[table.user]
+    return table if keep.all() else table.take(keep)
 
 
 def extract_sessions(table: PollTable, cfg: PreprocessConfig, cadence: float,
@@ -751,6 +759,13 @@ def run_pipeline(polls: PollTable, cfg: PreprocessConfig, rejects=None,
                  theta_threshold: float = 0.15) -> TraceResult:
     """The full fixed-order preprocessing pipeline over parsed records.
 
+    One poll table is alive at a time: each step's output replaces its
+    input, and a step that drops or adds nothing returns its input. The
+    observed epochs are taken right after ``filter_invalid_days`` and the
+    observed days right after ``pad_gaps``, so that no earlier table is kept
+    for them. A caller that hands ``polls`` over without keeping a reference
+    lets the parsed table go as soon as a step replaces it.
+
     Raises ``TraceInputError`` when the cadence cannot be inferred or no
     session survives, naming the step that dropped the records.
     """
@@ -765,42 +780,57 @@ def run_pipeline(polls: PollTable, cfg: PreprocessConfig, rejects=None,
         counts[name] = {"rows_in": rows_in, "rows_out": rows_out, **extra, "wall_s": now - start}
         start = now
 
-    window = filter_window(polls, cfg)
-    step("filter_window", len(polls), len(window))
-    valid, removed = filter_invalid_days(window, cfg, cadence)
-    step("filter_invalid_days", len(window), len(valid),
+    records_in = len(polls)
+    table = filter_window(polls, cfg)
+    del polls
+    step("filter_window", records_in, len(table))
+    rows = len(table)
+    table, removed = filter_invalid_days(table, cfg, cadence)
+    step("filter_invalid_days", rows, len(table),
          ap_days_removed=sum(len(d) for d in removed.values()))
+    epochs = distinct(table.t)
+    start = time.perf_counter()     # epochs belong to no step
     folds: dict = {}
-    resolved = resolve_multi_association(valid, cfg, cadence, counts=folds)
-    step("resolve_multi_association", len(valid), len(resolved), **folds)
-    padded = pad_gaps(resolved, cfg, cadence)
-    step("pad_gaps", len(resolved), len(padded), padded=len(padded) - len(resolved))
-    open_users, closed_users, frac = classify_open_closed(padded, cfg, cadence)
-    open_rows = _select_users(padded, open_users)
-    step("classify_open_closed", len(padded), len(open_rows),
+    rows = len(table)
+    table = resolve_multi_association(table, cfg, cadence, counts=folds)
+    step("resolve_multi_association", rows, len(table), **folds)
+    rows = len(table)
+    table = pad_gaps(table, cfg, cadence)
+    step("pad_gaps", rows, len(table), padded=len(table) - rows)
+    ap_days = observed_days(table)
+    start = time.perf_counter()     # nor do the observed days
+    rows = len(table)
+    open_users, closed_users, frac = classify_open_closed(table, cfg, cadence)
+    table = _select_users(table, open_users)
+    step("classify_open_closed", rows, len(table),
          open_users=len(open_users), closed_users=len(closed_users))
-    sessions, stage_table = extract_sessions(open_rows, cfg, cadence)
-    step("extract_sessions", len(open_rows), len(sessions), stages=len(sessions.ap))
+    rows = len(table)
+    sessions, stage_table = extract_sessions(table, cfg, cadence)
+    del table
+    step("extract_sessions", rows, len(sessions), stages=len(sessions.ap))
     if not len(sessions):
         raise TraceInputError(_no_sessions(counts, cfg))
-    ap_days = observed_days(padded)
     estimates, series = estimate_cell_params(sessions, cfg, ap_days, interval)
     validity = test_ap_validity(series, interval, eta_threshold, theta_threshold)
-    return TraceResult(cadence, len(polls), rejects or [], removed, open_users,
+    return TraceResult(cadence, records_in, rejects or [], removed, open_users,
                        closed_users, frac, sessions, stage_table, estimates, series,
-                       validity, ap_days, counts=counts, epochs=distinct(valid.t))
+                       validity, ap_days, counts=counts, epochs=epochs)
 
 
 def write_sessions_csv(sessions: StageTable, path) -> None:
     """``user,stage,ap,entry,exit`` rows, stages numbered from 1, as
-    ``csv.writer`` writes them; each name is formatted once."""
-    user = np.array(csv_fields(sessions.users), dtype=object)[sessions.user[sessions.session]]
-    ap = np.array(csv_fields(sessions.aps), dtype=object)[sessions.ap]
+    ``csv.writer`` writes them. Each name and each distinct time is
+    formatted once, times told apart by bit pattern so that -0.0 keeps its
+    sign, and rows are written ``sim.CSV_BLOCK_ROWS`` at a time."""
     stage = np.arange(len(sessions.ap)) - sessions.first_stages()[sessions.session] + 1
-    with open(path, "w", newline="") as fh:
-        fh.write("user,stage,ap,entry,exit\r\n")
-        fh.write("".join(map("{},{},{},{!r},{!r}\r\n".format, user.tolist(), stage.tolist(),
-                             ap.tolist(), sessions.entry.tolist(), sessions.exit.tolist())))
+    bits, time_code = np.unique(np.concatenate([sessions.entry, sessions.exit]).view(np.int64),
+                                return_inverse=True)
+    times = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    write_coded_csv(path, "user,stage,ap,entry,exit", (
+        (np.array(csv_fields(sessions.users), dtype=object), sessions.user[sessions.session]),
+        (np.array(list(map(str, range(stage.max(initial=0) + 1))), dtype=object), stage),
+        (np.array(csv_fields(sessions.aps), dtype=object), sessions.ap),
+        (times, time_code[:len(stage)]), (times, time_code[len(stage):])))
 
 
 def write_estimates_csv(estimates: dict[str, CellEstimate], path) -> None:

@@ -190,7 +190,7 @@ def _fixture_spec():
     ))
 
 
-def test_criterion_6_trace_round_trip(tmp_path):
+def test_criterion_6_trace_round_trip(tmp_path, capsys):
     with criterion(6, "synthetic polling-trace round trip", 60.0):
         cfg = tmp_path / "net.json"
         model.save_spec(_fixture_spec(), cfg)
@@ -204,8 +204,7 @@ def test_criterion_6_trace_round_trip(tmp_path):
 
         out = tmp_path / "trace"
         rc = cli.main(["trace", "--polls", str(fix / "polls.csv"),
-                       "--out", str(out), "--cadence", "300",
-                       "--exclude-mode", "1"])
+                       "--out", str(out), "--cadence", "300"])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
 
@@ -235,9 +234,21 @@ def test_criterion_6_trace_round_trip(tmp_path):
         burst_ap = truth["bursty_aps"][0]
         assert burst_ap in report["invalid_aps"]
         dropped = sum(int(est[ap]["new_arrivals"]) for ap in report["invalid_aps"])
-        assert report["sessions_after_exclusion"] == report["sessions"] - dropped
         if report["invalid_aps"] == [burst_ap]:
             assert dropped == truth["sessions_starting_at_bursty"]
+        capsys.readouterr()
+        out1 = tmp_path / "trace_mode1"
+        rc = cli.main(["trace", "--polls", str(fix / "polls.csv"),
+                       "--out", str(out1), "--cadence", "300",
+                       "--exclude-mode", "1"])
+        if dropped < report["sessions"]:
+            assert rc == 0
+            report1 = json.loads((out1 / "report.json").read_text())
+            assert report1["sessions_after_exclusion"] == report["sessions"] - dropped
+        else:
+            # an exclusion that leaves no session is refused, naming the count
+            assert rc == 1
+            assert f"dropped all {dropped} sessions" in capsys.readouterr().err
 
 
 def test_criterion_7_published_scale_procedure(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -83,6 +84,29 @@ class TestAnalyze:
         assert rc == 0
         assert "unreachable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rate, hold, mean", [(0.01, 1e308, "1e+306"),
+                                                  (10.0, 1e308, "inf")])
+    def test_cell_pmf_beyond_the_cap_exit_1(self, tmp_path, capsys, rate, hold, mean):
+        cfg = write_config(tmp_path, single_cell_spec(rate, hold))
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 5.0
+        assert f"cell 1 has Poisson mean {mean}: cell_pmf.csv could take" in \
+            capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    @pytest.mark.parametrize("cap, rc", [(261, 0), (260, 1)])
+    def test_cell_pmf_bound_is_inclusive(self, tmp_path, monkeypatch, cap, rc):
+        # a mean of 100 scans 100 + 12 * 10 + 40 = 260 counts: at most 261 rows
+        monkeypatch.setattr(model, "STAGE_VISIT_CAP", cap)
+        cfg = write_config(tmp_path, single_cell_spec(rate=1.0, hold=100.0))
+        out = tmp_path / "o"
+        assert cli.main(["analyze", "--config", cfg, "--out", str(out)]) == rc
+        if rc == 0:
+            with open(out / "cell_pmf.csv") as fh:
+                assert len(list(csv.DictReader(fh))) <= cap
+
     def test_invalid_config_exit_1(self, tmp_path, capsys):
         law = model.DiscreteSessionLaw((0.7,), (((1.0, (2.0,)),),))
         spec = model.NetworkSpec(1, (model.RouteSpec(model.Route((1,)), 1.0, law),))
@@ -122,9 +146,11 @@ class TestAnalyze:
         (_generative_config(duration={"family": "discrete", "values": [60.0, 120.0],
                                       "weights": [1.0]}),
          "routes[1].law.duration: 1 weights for 2 values"),
+        (_generative_config().replace('"cells": 1,', '"cells": 1e12,'),
+         "cells: 1000000000000 > STAGE_VISIT_CAP (25000000)"),
     ], ids=["not-json", "no-routes", "pair-realizations", "unknown-family",
             "negative-mean", "lognormal-no-sigma", "non-numeric-rate", "zero-deterministic",
-            "uniform-low-above-high", "discrete-unequal-lists"])
+            "uniform-low-above-high", "discrete-unequal-lists", "cells-above-cap"])
     def test_bad_config_exit_1(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "net.json"
         cfg.write_text(text)
@@ -367,18 +393,44 @@ class TestFixtureAndTrace:
         cli.main(["fixture", "--config", cfg, "--out", str(fix_out),
                   "--seed", "2", "--days", "2"])
         out = tmp_path / "trc"
+        # thresholds that let the first-stage AP pass the arrival tests at
+        # this fixture's 16 hourly intervals, so that mode 1 keeps its sessions
         rc = cli.main(["trace", "--polls", str(fix_out / "polls.csv"),
                        "--out", str(out), "--cadence", "300",
-                       "--exclude-mode", "1", "--exclude-one-stage"])
+                       "--exclude-mode", "1", "--exclude-one-stage",
+                       "--threshold-eta", "1", "--threshold-theta", "1"])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["exclusion_mode"] == 1
-        assert report["sessions_after_exclusion"] <= report["sessions"]
+        assert 0 < report["sessions_after_exclusion"] < report["sessions"]
         with open(out / "sessions.csv") as fh:
             rows = list(csv.DictReader(fh))
         users = {r["user"] for r in rows}
         for u in users:
             assert sum(1 for r in rows if r["user"] == u) >= 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--exclude-mode", "1"], "need at least one session: the exclusion dropped all 132 "
+                                  "sessions as starting at an invalid AP (--exclude-mode 1)"),
+        (["--exclude-mode", "1", "--exclude-one-stage"],
+         "dropped all 132 sessions as starting at an invalid AP (--exclude-mode 1) "
+         "or of one stage (--exclude-one-stage)"),
+        (["--exclude-mode", "2"], "need at least one AP to compare: --exclude-mode 2 "
+                                  "excluded all 2 APs with estimates as invalid"),
+    ])
+    def test_exclusion_that_leaves_nothing_exit_1(self, tmp_path, capsys, flags, message):
+        # at 16 hourly intervals both APs fail the arrival tests, and every
+        # session starts at AP001
+        cfg = write_config(tmp_path, self._fixture_spec())
+        fix_out = tmp_path / "fix"
+        cli.main(["fixture", "--config", cfg, "--out", str(fix_out),
+                  "--seed", "2", "--days", "2"])
+        out = tmp_path / "trc"
+        rc = cli.main(["trace", "--polls", str(fix_out / "polls.csv"), "--out", str(out),
+                       "--cadence", "300", *flags])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "sessions.csv").exists()
 
     def test_trace_empty_polls_exit_1(self, tmp_path):
         polls = tmp_path / "polls.csv"
